@@ -32,6 +32,7 @@ import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import checks  # noqa: E402
+import hostspeed  # noqa: E402
 from workloads import WORKLOADS, Workload, warmup_round  # noqa: E402
 
 BENCH_DIR = Path(__file__).resolve().parent
@@ -96,17 +97,20 @@ class Worker:
         self.proc.wait()
 
 
-def setup_launch(root: Path, workload: str, outdir: Path) -> float:
-    """Wall time of one fresh interpreter that imports the program and warms up."""
+def setup_launch(root: Path, workload: str, outdir: Path, refs: list) -> tuple:
+    """(start, wall time) of one fresh interpreter that imports the program and
+    warms up.  Host-speed samples are taken just before and after it."""
     cmd = [sys.executable, str(BENCH_DIR / "worker.py"), "--workload", workload,
            "--outdir", str(outdir), "--probe"]
+    refs += hostspeed.samples()
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, env=worker_env(root), cwd=str(root), stdout=subprocess.DEVNULL,
                           timeout=120)
     elapsed = time.perf_counter() - t0
+    refs += hostspeed.samples()
     if proc.returncode != 0:
         raise BenchmarkError(f"set-up launch exited with code {proc.returncode}")
-    return elapsed
+    return t0 + elapsed / 2.0, elapsed
 
 
 def tail_latency(samples) -> float:
@@ -128,7 +132,8 @@ class Tally:
         self.attempted = 0
         self.failed = 0
         self.errors: list = []
-        self.latencies: list = []
+        self.latencies: list = []  # (start, seconds) of each completed operation
+        self.refs: list = []  # host-speed samples
         self.specs: list = []  # in the worker's order, for the trace
         self.traced_round_s: list = []
         self.plain_round_s: list = []
@@ -143,11 +148,25 @@ class Tally:
                 print(f"failed: {spec['kind']} {spec.get('argv') or spec.get('args')}: "
                       f"{result.get('error') or result['out']!r:.300}", file=sys.stderr)
                 continue
-            self.latencies.append(result["s"])
+            self.latencies.append((result["t"], result["s"]))
             for e in errors:
                 self.errors.append(f"{spec['kind']}: {e}")
+        self.refs += reply["refs"]
         op_s = sum(r["s"] for r in reply["results"])
         (self.traced_round_s if traced else self.plain_round_s).append(op_s)
+
+
+def end_to_end(setup_s, latencies, final, scale) -> dict:
+    """The end-to-end metrics, each timing scaled by the host speed when it was taken."""
+    setup = [s * scale(t) for t, s in setup_s]
+    lat_ms = [s * scale(t) * 1e3 for t, s in latencies]
+    return {
+        "setup_s": {"value": statistics.median(setup), "unit": "s"},
+        "ops_per_s": {"value": 1e3 * len(lat_ms) / sum(lat_ms), "unit": "1/s"},
+        "latency_p50_ms": {"value": statistics.median(lat_ms), "unit": "ms"},
+        "latency_tail_ms": {"value": tail_latency(lat_ms), "unit": "ms"},
+        "peak_rss_mb": {"value": final["peak_rss_kb"] / 1024.0, "unit": "MB"},
+    }
 
 
 def run(args) -> dict:
@@ -174,7 +193,7 @@ def run(args) -> dict:
                                                           and tally.plain_round_s)):
             if spent >= segment * args.seconds / SEGMENTS:
                 if not args.trace:
-                    setup_s.append(setup_launch(root, args.workload, outdir))
+                    setup_s.append(setup_launch(root, args.workload, outdir, tally.refs))
                 segment += 1
             traced = bool(args.trace) and segment % 2 == 0
             ops = gen.next_round()
@@ -182,7 +201,7 @@ def run(args) -> dict:
             spent += reply["wall_s"]
             tally.add_round(ops, reply, traced)
         if not args.trace:
-            setup_s.append(setup_launch(root, args.workload, outdir))
+            setup_s.append(setup_launch(root, args.workload, outdir, tally.refs))
         final = worker.close()
     finally:
         worker.kill()
@@ -197,16 +216,16 @@ def run(args) -> dict:
 
         summary["metrics"] = layer_metrics(trace_file, tally, final)
     else:
-        lat_ms = [s * 1e3 for s in tally.latencies]
-        summary["metrics"] = {
-            "setup_s": {"value": statistics.median(setup_s), "unit": "s"},
-            "ops_per_s": {"value": len(tally.latencies) / sum(tally.latencies), "unit": "1/s"},
-            "latency_p50_ms": {"value": statistics.median(lat_ms), "unit": "ms"},
-            "latency_tail_ms": {"value": tail_latency(lat_ms), "unit": "ms"},
-            "peak_rss_mb": {"value": final["peak_rss_kb"] / 1024.0, "unit": "MB"},
-        }
+        speed = hostspeed.HostSpeed(tally.refs)
+        summary["metrics"] = end_to_end(setup_s, tally.latencies, final, speed.scale)
+        unscaled = end_to_end(setup_s, tally.latencies, final, lambda t: 1.0)
+        summary["unscaled"] = unscaled
+        print("unscaled: " + ", ".join(f"{k} {v['value']:.4g}" for k, v in unscaled.items())
+              + f"; median reference work {statistics.median(speed.s) * 1e3:.3f} ms",
+              file=sys.stderr)
     (out / f"result-{args.workload}-seed{args.seed}-trace{args.trace}.json").write_text(
         json.dumps(summary, indent=2) + "\n")
+    summary.pop("unscaled", None)
     return summary
 
 

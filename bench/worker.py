@@ -8,11 +8,14 @@ Run by ``run.py``, never by hand.  Two modes:
 * ``worker.py --workload W --outdir D [--trace-file F]`` serves rounds: it
   reads one JSON request per line on stdin and answers one JSON line on
   stdout.  A request ``{"ops": [...], "trace": bool, "first_op": i}`` runs
-  one round, numbering its operations from i in the trace;
+  one round, numbering its operations from i in the trace.  The reply
+  holds each operation's result and start time, and the host-speed samples
+  (see hostspeed.py) taken before operations during the round;
   ``{"exit": true}`` ends the process after reporting its peak memory.
 
 Only the call into the program is timed.  Writing input files, reading output
-files back and sending results happen outside the timed region.
+files back, host-speed samples and sending results happen outside the timed
+region.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ IMPORT_START = time.perf_counter()
 import grushin.cli as cli  # noqa: E402
 
 IMPORT_S = time.perf_counter() - IMPORT_START
+
+import hostspeed  # noqa: E402
 
 
 def _oracle(a, b, h, beta, delta):
@@ -88,6 +93,7 @@ def serve(args) -> int:
     chan = sys.stdout
     sys.stdout = sys.stderr  # nothing but the protocol goes to the parent's pipe
     recorder = None
+    last_ref = float("-inf")
     if args.trace_file:
         from tracing import SpanRecorder
 
@@ -105,17 +111,21 @@ def serve(args) -> int:
         traced = bool(request.get("trace")) and recorder is not None
         if traced:
             recorder.install()
-        results = []
-        t0 = time.perf_counter()
+        results, refs, wall = [], [], 0.0
         for offset, spec in enumerate(request["ops"]):
+            if time.perf_counter() - last_ref >= hostspeed.REFERENCE_EVERY_S:
+                refs += hostspeed.samples()
+                last_ref = refs[-1][0]
             if traced:
                 recorder.current_op = request["first_op"] + offset
+            t0 = time.perf_counter()
             results.append(execute(spec, args.outdir))
-        wall = time.perf_counter() - t0
+            wall += time.perf_counter() - t0
+            results[-1]["t"] = t0
         if traced:
             recorder.uninstall()
             recorder.current_op = -1
-        chan.write(json.dumps({"results": results, "wall_s": wall}) + "\n")
+        chan.write(json.dumps({"results": results, "wall_s": wall, "refs": refs}) + "\n")
         chan.flush()
     return 0
 

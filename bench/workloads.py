@@ -259,11 +259,13 @@ def _compose(rng) -> dict:
 
 def _curvature(rng, n: int) -> dict:
     # one perturbation term of order x or x^2: the asymptotic fit models a
-    # single remainder power (see CHANGES.md for mixed-order perturbations)
-    alpha = _r(rng.uniform(0.25, 1.5), 4)
+    # single remainder power (see CHANGES.md for mixed-order perturbations).
+    # alpha >= 0.5 and |eps| <= 0.3 keep the fit's worst error near 0.3%: at
+    # alpha = 0.25 and eps = -0.5 an x sin(2y) term misses the 1% bound.
+    alpha = _r(rng.uniform(0.5, 1.5), 4)
     power, mode = int(rng.integers(1, 3)), int(rng.integers(0, 3))
     trig = "cos" if mode == 0 else str(rng.choice(["cos", "sin"]))
-    eps = _r(rng.uniform(0.1, 0.5) * rng.choice([-1.0, 1.0]), 4)
+    eps = _r(rng.uniform(0.1, 0.3) * rng.choice([-1.0, 1.0]), 4)
     metric = {"conformal_factor": {"terms": [
         {"x_power": 0, "mode": 0, "cos": 1.0},
         {"x_power": power, "mode": mode, trig: eps},

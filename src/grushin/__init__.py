@@ -17,6 +17,7 @@ from .params import (
     Verdict,
     Regime,
     classify,
+    classify_grid,
     forbidden_c,
     indicial_data,
     resonance,
@@ -31,6 +32,7 @@ __all__ = [
     "Verdict",
     "Regime",
     "classify",
+    "classify_grid",
     "forbidden_c",
     "indicial_data",
     "resonance",

@@ -19,9 +19,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import bessel as bessel_mod
 from . import curvature as curvature_mod
-from .deficiency import aggregate_deficiency
 from .extensions import (
     BoundaryJet,
     CheckFailedError,
@@ -41,14 +39,7 @@ from .frobenius import (
     residual_certificate,
 )
 from .indexset_lang import ParseError, format_value, parse
-from .params import (
-    GrushinParams,
-    classify,
-    complex_to_json,
-    forbidden_c,
-    indicial_data,
-    resonance,
-)
+from .params import REGIMES, VERDICTS, GrushinParams, classify_grid, complex_to_json, forbidden_c
 
 SCHEMA_VERSION = 1
 
@@ -122,41 +113,42 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _classify_row(alpha: float, n: int, c: float) -> dict:
-    p = GrushinParams(alpha, n, c)
-    d = indicial_data(p)
-    v = classify(p)
-    res, wit = resonance(p)
-    return {
-        "alpha": alpha,
-        "n": n,
-        "c": c,
-        "mu": v.mu,
-        "lambda_plus": complex_to_json(d.lambda_plus),
-        "lambda_minus": complex_to_json(d.lambda_minus),
-        "verdict": v.verdict.value,
-        "regime": v.regime.value,
-        "resonant": res,
-        "resonance_witness": None if wit is None else list(wit),
-    }
+_REGIME_NAMES = np.array([r.value for r in REGIMES])
+_VERDICT_NAMES = np.array([v.value for v in VERDICTS])
 
 
 def cmd_classify(args) -> int:
-    rows = [
-        _classify_row(a, int(n), c)
-        for a in parse_grid(args.alpha)
-        for n in parse_grid(args.n)
-        for c in parse_grid(args.c)
-    ]
+    grid = np.meshgrid(parse_grid(args.alpha), parse_grid(args.n), parse_grid(args.c), indexing="ij")
+    g = classify_grid(*grid)
+    alpha, c, mu = (v.ravel().tolist() for v in (grid[0], grid[2], g.mu))
+    n = grid[1].ravel().astype(int).tolist()
+    verdict = _VERDICT_NAMES[g.regime.ravel()].tolist()
+    regime = _REGIME_NAMES[g.regime.ravel()].tolist()
+    resonant = g.resonant.ravel().tolist()
     if args.format == "csv":
         header = ["alpha", "n", "c", "mu", "verdict", "regime", "resonant"]
-        table = [
-            [r["alpha"], r["n"], r["c"], r["mu"], r["verdict"], r["regime"], r["resonant"]]
-            for r in rows
-        ]
-        emit(to_csv(header, table), args.out)
-    else:
-        emit(to_json({"rows": rows}), args.out)
+        emit(to_csv(header, list(zip(alpha, n, c, mu, verdict, regime, resonant))), args.out)
+        return EXIT_OK
+    lp, lm = g.lambda_plus.ravel(), g.lambda_minus.ravel()
+    rows = [
+        {
+            "alpha": a,
+            "n": nn,
+            "c": cc,
+            "mu": m,
+            "lambda_plus": {"re": lp_re, "im": lp_im},
+            "lambda_minus": {"re": lm_re, "im": lm_im},
+            "verdict": v,
+            "regime": r,
+            "resonant": res,
+            "resonance_witness": wit if res else None,
+        }
+        for a, nn, cc, m, lp_re, lp_im, lm_re, lm_im, v, r, res, wit in zip(
+            alpha, n, c, mu, lp.real.tolist(), lp.imag.tolist(), lm.real.tolist(),
+            lm.imag.tolist(), verdict, regime, resonant, g.witness.reshape(-1, 2).tolist(),
+        )
+    ]
+    emit(to_json({"rows": rows}), args.out)
     return EXIT_OK
 
 
@@ -209,30 +201,31 @@ def cmd_phase_diagram(args) -> int:
     alphas = parse_grid(args.alpha)
     cs = parse_grid(args.c)
     n = args.n
-    regimes = []
-    rows = []
-    for c in cs:
-        row = []
-        for a in alphas:
-            v = classify(GrushinParams(a, n, c))
-            row.append(v.regime.value)
-            rows.append([a, n, c, v.mu, v.verdict.value, v.regime.value])
-        regimes.append(row)
+    c_grid, a_grid = np.meshgrid(cs, alphas, indexing="ij")
+    g = classify_grid(a_grid, n, c_grid)
+    verdict, regime = _VERDICT_NAMES[g.regime], _REGIME_NAMES[g.regime]
+    rows = [
+        [a, n, c, mu, v, r]
+        for a, c, mu, v, r in zip(*(x.ravel().tolist() for x in (a_grid, c_grid, g.mu, verdict, regime)))
+    ]
     curve = []
     for a in alphas:
-        if a == 0.0:
+        try:
+            c0 = forbidden_c(a, n)
+        except ValueError:  # alpha = 0 or -2/(1+n): mu does not depend on c, no critical point
             continue
-        c0 = forbidden_c(a, n)
         if cs[0] - 1e-12 <= c0 <= cs[-1] + 1e-12:
             curve.append((a, c0))
     cmdline = "grushin " + " ".join(sys.argv[1:]) if sys.argv[0] else "grushin"
-    svg = _svg_phase_diagram(alphas, cs, regimes, curve, cmdline)
+    svg = _svg_phase_diagram(alphas, cs, regime.tolist(), curve, cmdline)
     emit(svg, args.out_svg)
     emit(to_csv(["alpha", "n", "c", "mu", "verdict", "regime"], rows), args.out_csv)
     return EXIT_OK
 
 
 def cmd_deficiency(args) -> int:
+    from .deficiency import aggregate_deficiency  # imports scipy
+
     p = GrushinParams(args.alpha, args.n, args.c)
     report = aggregate_deficiency(p, args.kmax)
     if args.format == "csv":
@@ -415,6 +408,8 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_bessel(args) -> int:
+    from . import bessel as bessel_mod  # imports scipy
+
     kind = args.kind
     if args.scaled:
         if kind in ("I", "K"):

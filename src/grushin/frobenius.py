@@ -211,7 +211,7 @@ def expand(
     gap = ind.sqrt_mu  # lambda_plus - lambda_minus
     resonant = False
     if root == "minus":
-        res_flag, _ = resonance(data.params, cutoff=max(cutoff, abs(gap) + 1.0))
+        res_flag, _ = resonance(data.params)
         resonant = res_flag and gap.real <= cutoff + _GRADE_TOL
     double_root = resonant and abs(gap) <= _GRADE_TOL
 

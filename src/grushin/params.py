@@ -18,28 +18,46 @@ Sign convention: the source material states the discriminant once with a
 
 which is the variant forced by the limit-circle oracle nu^2 = mu/4 (see the
 ``deficiency`` module) and by the known absence of quantum confinement for
-alpha = n = 1, c > 0.  The other variant is available via
-``discriminant(..., legacy_plus_sign=True)`` and is never used internally.
+alpha = n = 1, c > 0.
+
+The roots are resonant when their gap sqrt(mu) lies on the lattice
+Theta = {(1+alpha) i + j : i, j in N0}, within tol = 1e-9 * max(1, sqrt(mu)).
+``classify_grid`` decides this in closed form, elementwise over broadcast
+(alpha, n, c) arrays.  For each j = floor(sqrt(mu) + tol), ..., 0 the one
+candidate is the smallest i >= 0 with (1+alpha) i + j >= sqrt(mu) - tol,
+i = max(0, ceil((sqrt(mu) - tol - j)/(1+alpha))); when 1+alpha > 2 tol this
+is the i nearest (sqrt(mu) - j)/(1+alpha).  The smallest candidate value,
+ties to the smallest i, is the lattice element ``ThetaLattice.witness_for``
+inspects: the point is resonant when it lies within tol of sqrt(mu), and its
+(i, j) is the witness.  A point costs O(sqrt(mu)) steps whatever alpha is,
+where enumerating Theta up to sqrt(mu) takes O(mu/(1+alpha)).  The one
+divergence from the enumerated lattice is where two lattice values closer
+than THETA_MERGE_TOL straddle sqrt(mu) - tol, which ``theta_lattice``
+merges into one element.  ``discriminant``, ``indicial_data``, ``classify``
+and ``resonance`` are the one-point views of this implementation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
+
+import numpy as np
 
 __all__ = [
     "GrushinParams",
     "IndicialData",
     "ThetaLattice",
     "SelfAdjointnessVerdict",
+    "ClassifiedGrid",
     "Verdict",
     "Regime",
     "discriminant",
     "indicial_data",
     "classify",
+    "classify_grid",
     "theta_lattice",
     "resonance",
     "forbidden_c",
@@ -52,6 +70,12 @@ THETA_MERGE_TOL = 1e-12
 
 #: relative tolerance around mu = 4 that triggers the Critical verdict
 MU4_TOL = 1e-9
+
+#: relative tolerance of the resonance test |(1+alpha) i + j - sqrt(mu)| <= tol * max(1, sqrt(mu))
+RESONANCE_TOL = 1e-9
+
+#: j values per vectorized pass of the resonance test
+J_BLOCK = 32
 
 
 def complex_to_json(z: complex) -> dict:
@@ -96,16 +120,15 @@ class GrushinParams:
         return cls(alpha=d["alpha"], n=d["n"], c=d["c"])
 
 
-def discriminant(alpha: float, n: int, c: float, legacy_plus_sign: bool = False) -> float:
-    """Discriminant mu of the indicial polynomial.
+def discriminant(alpha, n, c):
+    """Discriminant mu of the indicial polynomial, elementwise over arrays.
 
-    ``legacy_plus_sign=True`` selects the (1+an)^2 + 4c... variant that
-    appears once in the source material; it fails the limit-circle oracle
-    and exists only for comparison.
+    A float for scalar arguments.  The square is taken by ``pow``, as
+    Python's ``**`` does, which can differ from x*x in the last bit.
     """
-    an = alpha * n
-    cross = 4.0 * c * an * (an + alpha + 2.0)
-    return (1.0 + an) ** 2 + cross if legacy_plus_sign else (1.0 + an) ** 2 - cross
+    an = np.multiply(alpha, n)
+    mu = np.float_power(1.0 + an, 2) - 4.0 * c * an * (an + alpha + 2.0)
+    return mu if np.ndim(mu) else float(mu)
 
 
 @dataclass(frozen=True)
@@ -151,15 +174,16 @@ def indicial_data(params: GrushinParams) -> IndicialData:
     b = 1.0 + an
     c0 = params.c * an * (an + params.alpha + 2.0)
     mu = discriminant(params.alpha, params.n, params.c)
-    if mu >= 0.0:
-        root = math.sqrt(mu)
-        lam_plus = complex((b + root) / 2.0, 0.0)
-        lam_minus = complex((b - root) / 2.0, 0.0)
-    else:
-        imag = math.sqrt(-mu) / 2.0
-        lam_plus = complex(b / 2.0, imag)
-        lam_minus = complex(b / 2.0, -imag)
-    return IndicialData(p_coeffs=(1.0, -b, c0), mu=mu, lambda_plus=lam_plus, lambda_minus=lam_minus)
+    lam_plus, lam_minus = _roots(mu, b)
+    return IndicialData(
+        p_coeffs=(1.0, -b, c0), mu=mu, lambda_plus=complex(lam_plus), lambda_minus=complex(lam_minus)
+    )
+
+
+def _roots(mu, b):
+    """lambda_pm = (b +- sqrt(mu))/2, elementwise; lambda_plus has Im > 0 where mu < 0."""
+    root = np.sqrt(np.asarray(mu, dtype=complex))
+    return (b + root) / 2.0, (b - root) / 2.0
 
 
 @dataclass(frozen=True)
@@ -274,42 +298,115 @@ class SelfAdjointnessVerdict:
         }
 
 
-def classify(params: GrushinParams) -> SelfAdjointnessVerdict:
-    """Classify essential self-adjointness of Delta - c*S from mu alone.
+#: the regimes in the order of ``ClassifiedGrid.regime``'s codes, and the verdict of each
+REGIMES = (Regime.MU_NEG, Regime.MU_IN_0_4, Regime.MU_EQ_4, Regime.MU_GT_4)
+VERDICTS = (
+    Verdict.NOT_ESA_INFINITE_DEFICIENCY,
+    Verdict.NOT_ESA_INFINITE_DEFICIENCY,
+    Verdict.CRITICAL_MU4_INDETERMINATE,
+    Verdict.ESSENTIALLY_SELF_ADJOINT,
+)
+
+
+@dataclass(frozen=True)
+class ClassifiedGrid:
+    """The classifier's answer at every point of a broadcast (alpha, n, c) grid.
+
+    ``regime`` holds indices into REGIMES (and VERDICTS); ``witness`` has a
+    trailing axis (i, j), which is (-1, -1) where ``resonant`` is False.
+    """
+
+    mu: np.ndarray
+    regime: np.ndarray
+    lambda_plus: np.ndarray
+    lambda_minus: np.ndarray
+    resonant: np.ndarray
+    witness: np.ndarray
+
+
+def classify_grid(alpha, n, c) -> ClassifiedGrid:
+    """Classify every point of the broadcast (alpha, n, c) arrays in one pass.
 
     mu > 4: essentially self-adjoint; mu < 4: not (infinite deficiency
     indices); |mu - 4| below MU4_TOL * max(1, |mu|): critical, reported as
     indeterminate because the classification is discontinuous there and the
-    theory declines to decide it.
+    theory declines to decide it.  Resonance is decided in closed form (see
+    the module docstring).  Rejects, as GrushinParams does, any alpha <= -1
+    and any n that is not a positive integer, and also non-finite values,
+    which have no classification.
     """
-    mu = discriminant(params.alpha, params.n, params.c)
-    if abs(mu - 4.0) < MU4_TOL * max(1.0, abs(mu)):
-        return SelfAdjointnessVerdict(
-            Verdict.CRITICAL_MU4_INDETERMINATE, mu, Regime.MU_EQ_4, resonant=True
-        )
-    res, _ = resonance(params)
-    if mu > 4.0:
-        return SelfAdjointnessVerdict(Verdict.ESSENTIALLY_SELF_ADJOINT, mu, Regime.MU_GT_4, res)
-    regime = Regime.MU_NEG if mu < 0.0 else Regime.MU_IN_0_4
-    return SelfAdjointnessVerdict(Verdict.NOT_ESA_INFINITE_DEFICIENCY, mu, regime, res)
+    alpha, n, c = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (alpha, n, c)))
+    for values, ok, message in (
+        (alpha, np.isfinite(alpha) & (alpha > -1.0), "alpha must be a finite number > -1"),
+        (n, np.isfinite(n) & (n >= 1.0) & (n == np.floor(n)), "n must be a positive integer"),
+        (c, np.isfinite(c), "c must be finite"),
+    ):
+        if not ok.all():
+            raise ValueError(f"{message}, got {values[~ok][0]}")
+    mu = np.asarray(discriminant(alpha, n, c))
+    if not np.isfinite(mu).all():
+        raise ValueError("mu overflows on this grid")
+    critical = np.abs(mu - 4.0) < MU4_TOL * np.maximum(1.0, np.abs(mu))
+    regime = np.where(critical, 2, (mu >= 0.0) + 2 * (mu > 4.0))
+    lam_plus, lam_minus = _roots(mu, 1.0 + alpha * n)
+    resonant, witness = _resonance(mu, alpha)
+    return ClassifiedGrid(mu, regime, lam_plus, lam_minus, resonant, witness)
 
 
-def resonance(params: GrushinParams, cutoff: Optional[float] = None, tol: float = 1e-9):
+def _resonance(mu: np.ndarray, alpha: np.ndarray):
+    """Resonance flags and witnesses over arrays, by the closed form of the module docstring.
+
+    The j values are taken in blocks of J_BLOCK, largest j first within a
+    block; each block is one vectorized pass over the points whose
+    floor(sqrt(mu) + tol) reaches it, so a point costs O(sqrt(mu) + J_BLOCK)
+    and memory stays O(points * J_BLOCK).
+    """
+    gap = np.sqrt(np.maximum(mu.ravel(), 0.0))
+    tol = RESONANCE_TOL * np.maximum(1.0, gap)
+    top = np.floor(gap + tol)
+    lo, step = gap - tol, 1.0 + alpha.ravel()
+    best, wi, wj = np.full(gap.size, np.inf), np.zeros(gap.size), np.zeros(gap.size)
+    end = int(top.max(initial=-1.0)) + 1
+    for first in range(0, end, J_BLOCK):
+        at = slice(None) if first == 0 else np.flatnonzero(top >= first)
+        j = np.arange(min(first + J_BLOCK, end) - 1, first - 1, -1.0)
+        s, low = step[at, None], lo[at, None]
+        # the smallest i whose value, rounded as theta_lattice rounds it, is >= sqrt(mu) - tol;
+        # a j above floor(sqrt(mu) + tol) gives a value beyond sqrt(mu) + tol, which never
+        # undercuts a hit, so it needs no mask
+        i = np.maximum(np.ceil((low - j) / s) - 1.0, 0.0)
+        for _ in range(2):  # the rounded ceiling can be one off either way
+            i += s * i + j < low
+        val = s * i + j
+        col = np.argmin(val, axis=1)  # the first minimum: the largest j, so the smallest i
+        rows = np.arange(col.size)
+        val = val[rows, col]
+        better = val <= best[at]  # a tie goes to the later block's larger j
+        best[at] = np.where(better, val, best[at])
+        wi[at] = np.where(better, i[rows, col], wi[at])
+        wj[at] = np.where(better, j[col], wj[at])
+    found = (mu.ravel() >= 0.0) & (np.abs(best - gap) <= tol)
+    witness = np.stack([np.where(found, wi, -1.0), np.where(found, wj, -1.0)], axis=-1)
+    return found.reshape(mu.shape), witness.astype(np.int64).reshape(mu.shape + (2,))
+
+
+def classify(params: GrushinParams) -> SelfAdjointnessVerdict:
+    """Classify essential self-adjointness of Delta - c*S: one point of ``classify_grid``."""
+    g = classify_grid(params.alpha, params.n, params.c)
+    code = int(g.regime)
+    return SelfAdjointnessVerdict(VERDICTS[code], float(g.mu), REGIMES[code], bool(g.resonant))
+
+
+def resonance(params: GrushinParams):
     """Whether the indicial roots are separated by a Theta-lattice element.
 
-    Returns (flag, witness): witness is the lex-minimal (i, j) with
-    (1+alpha) i + j = sqrt(mu).  For mu < 0 the gap is imaginary and the
-    answer is False.
+    Returns (flag, witness): witness is the (i, j) of the smallest lattice
+    value within tolerance of sqrt(mu), the smallest i among equal values.
+    For mu < 0 the gap is imaginary and the answer is False.  One point of
+    ``classify_grid``.
     """
-    mu = discriminant(params.alpha, params.n, params.c)
-    if mu < 0.0:
-        return False, None
-    gap = math.sqrt(mu)
-    if cutoff is None:
-        cutoff = gap + 1.0
-    lat = theta_lattice(params.alpha, max(cutoff, gap + 0.5))
-    w = lat.witness_for(gap, tol=tol * max(1.0, gap))
-    return (w is not None), w
+    g = classify_grid(params.alpha, params.n, params.c)
+    return (True, tuple(g.witness.tolist())) if g.resonant else (False, None)
 
 
 def forbidden_c(alpha: float, n: int) -> float:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -111,6 +112,22 @@ def test_phase_diagram_degenerate_cell(tmp_path, capsys):
     import xml.etree.ElementTree as ET
 
     ET.fromstring(svg.read_text())
+
+
+def test_phase_diagram_alpha_where_mu_ignores_c(tmp_path, capsys):
+    # at alpha = -2/(1+n) the cross term of mu vanishes, so that alpha has no
+    # point on the critical curve and is skipped like alpha = 0
+    svg = tmp_path / "p.svg"
+    csv = tmp_path / "p.csv"
+    code, _, _ = run_cli(
+        ["phase-diagram", "--alpha=-0.5:-0.5:0.1", "--c=-1:1:0.5", "--n", "3",
+         "--out-svg", str(svg), "--out-csv", str(csv)],
+        capsys,
+    )
+    assert code == 0
+    rows = [line.split(",") for line in csv.read_text().strip().split("\n")[1:]]
+    assert len(rows) == 5 and {r[3] for r in rows} == {repr(0.25)}  # mu = (1 - 1.5)^2 for every c
+    assert "polyline" not in svg.read_text()
 
 
 def test_indexset_cli(capsys):
@@ -226,6 +243,43 @@ def test_usage_exit_codes(capsys):
     assert main(["classify", "--alpha", "bad:grid", "--n", "1", "--c", "0"]) == 2
     assert main(["nonsense"]) == 2
     assert main(["classify", "--alpha", "-2", "--n", "1", "--c", "0"]) == 2  # alpha <= -1
+    assert main(["classify", "--alpha=-1.5:0:0.5", "--n", "1", "--c", "0"]) == 2  # first alpha <= -1
+    assert main(["classify", "--alpha=-1", "--n", "1", "--c", "0"]) == 2
+    assert main(["classify", "--alpha", "nan", "--n", "1", "--c", "0"]) == 2
+    assert main(["classify", "--alpha", "2", "--n", "1.5", "--c", "0"]) == 2  # not truncated to 1
+    assert main(["classify", "--alpha", "2", "--n", "1:2:0.5", "--c", "0"]) == 2
+    assert main(["classify", "--alpha", "2", "--n", "0", "--c", "0"]) == 2  # n < 1
+    assert main(["classify", "--alpha", "2", "--n", "nan", "--c", "0"]) == 2
+    assert main(["classify", "--alpha", "2", "--n", "1", "--c", "nan"]) == 2
+    assert main(["phase-diagram", "--alpha=-1:0:0.5", "--c", "0", "--n", "1",
+                 "--out-svg", "p.svg", "--out-csv", "p.csv"]) == 2
+    assert main(["phase-diagram", "--alpha", "1", "--c", "0", "--n", "0",
+                 "--out-svg", "p.svg", "--out-csv", "p.csv"]) == 2
+
+
+def test_light_subcommands_do_not_import_scipy(tmp_path):
+    # only bessel and deficiency need scipy; the other subcommands must not pay its import
+    code = """
+import contextlib, io, sys
+from grushin.cli import main
+argvs = [
+    ["classify", "--alpha", "0.25:3:0.25", "--n", "1", "--c", "0"],
+    ["phase-diagram", "--alpha", "0.5:1.5:0.5", "--c=0:0.5:0.25", "--n", "1",
+     "--out-svg", "p.svg", "--out-csv", "p.csv"],
+    ["indexset", "eu({(0,0)};{(0,0)})"],
+    ["frobenius", "--alpha", "1", "--n", "1", "--c", "0", "--root", "plus"],
+    ["extension", "build", "--family", "5", "--Gamma", "0,0,0,0"],
+    ["extension", "greens-check", "--alpha", "1", "--n", "1", "--c", "1"],
+    ["curvature", "--alpha", "1", "--n", "1"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in argvs]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    env = dict(os.environ, GRUSHIN_OUTDIR=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0] []"
 
 
 def test_console_entry_point():

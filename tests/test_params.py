@@ -1,15 +1,20 @@
 import math
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from grushin.params import (
     GrushinParams,
     MU4_TOL,
+    REGIMES,
+    VERDICTS,
     Verdict,
     Regime,
     classify,
+    classify_grid,
     discriminant,
     forbidden_c,
     indicial_data,
@@ -216,3 +221,105 @@ def test_json_round_trip():
     d = indicial_data(GrushinParams(1.0, 1, 1.0))
     j = d.to_json_dict()
     assert j["lambda_plus"]["im"] == pytest.approx(math.sqrt(3.0))
+
+
+def _lattice_resonance(alpha, mu):
+    """The reference: look sqrt(mu) up in an enumerated Theta lattice."""
+    if mu < 0.0:
+        return False, None
+    gap = math.sqrt(mu)
+    w = theta_lattice(alpha, gap + 1.0).witness_for(gap, tol=1e-9 * max(1.0, gap))
+    return w is not None, w
+
+
+RATIONAL_ALPHAS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alpha=RATIONAL_ALPHAS | st.floats(-0.85, 3.0),
+    n=st.integers(1, 4),
+    c=st.floats(-2.0, 2.0) | st.sampled_from([0.0, 0.125, -0.25, 3.0 / 16.0, -1.0 / 3.0]),
+)
+def test_closed_form_resonance_matches_lattice_random(alpha, n, c):
+    p = GrushinParams(alpha, n, c)
+    assert resonance(p) == _lattice_resonance(alpha, discriminant(alpha, n, c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alpha=RATIONAL_ALPHAS | st.floats(-0.8, 3.0),
+    n=st.integers(1, 4),
+    i=st.integers(0, 6),
+    j=st.integers(0, 40),  # gaps past J_BLOCK take several blocks of j
+)
+def test_closed_form_resonance_matches_lattice_on_lattice_gaps(alpha, n, i, j):
+    # choose c so that sqrt(mu) = (1+alpha) i + j; on rational lattices many
+    # (i, j) give the same value and the witness must break the tie as Theta does
+    an = alpha * n
+    weight = 4.0 * an * (an + alpha + 2.0)
+    if abs(weight) < 1e-3:
+        return  # mu does not depend on c here
+    gap = (1.0 + alpha) * i + j
+    c = ((1.0 + an) ** 2 - gap**2) / weight
+    flag, wit = resonance(GrushinParams(alpha, n, c))
+    assert flag or gap == 0.0  # a double root can come out as mu = -1e-16
+    assert (flag, wit) == _lattice_resonance(alpha, discriminant(alpha, n, c))
+
+
+def test_classify_grid_matches_one_point_views():
+    alpha = np.array([-0.9, -0.5, 0.0, 0.5, 1.0, 2.0, 2.7])[:, None, None]
+    n = np.arange(1, 4)[None, :, None]
+    c = np.linspace(-1.0, 1.0, 9)[None, None, :]
+    g = classify_grid(alpha, n, c)
+    assert g.mu.shape == (7, 3, 9) and g.witness.shape == (7, 3, 9, 2)
+    for idx in np.ndindex(g.mu.shape):
+        p = GrushinParams(float(alpha[idx[0], 0, 0]), int(n[0, idx[1], 0]), float(c[0, 0, idx[2]]))
+        v, d, (flag, wit) = classify(p), indicial_data(p), resonance(p)
+        assert (g.mu[idx], REGIMES[g.regime[idx]], VERDICTS[g.regime[idx]]) == (v.mu, v.regime, v.verdict)
+        assert (g.lambda_plus[idx], g.lambda_minus[idx]) == (d.lambda_plus, d.lambda_minus)
+        assert (bool(g.resonant[idx]), v.resonant, flag) == (wit is not None,) * 3
+        assert tuple(g.witness[idx]) == (wit if flag else (-1, -1))
+
+
+def test_critical_point_is_resonant():
+    v = classify(GrushinParams(2.0, 1, forbidden_c(2.0, 1)))
+    assert v.verdict == Verdict.CRITICAL_MU4_INDETERMINATE and v.resonant
+
+
+def test_classify_grid_rejects_what_params_rejects():
+    for alpha, n, c in [(-1.0, 1, 0.0), (math.nan, 1, 0.0), (1.0, 0, 0.0), (1.0, 1.5, 0.0),
+                        (1.0, math.nan, 0.0), (1.0, 1, math.nan), (math.inf, 1, 0.0)]:
+        with pytest.raises(ValueError):
+            classify_grid(np.array([0.5, alpha]), n, c)
+
+
+def test_near_singular_rows_have_bounded_cost():
+    # at 1 + alpha = 1e-9 the Theta lattice below sqrt(mu) has ~1e10 elements;
+    # the closed form visits each j once
+    alpha = np.full((4, 9), -1.0 + 1e-9)
+    n = np.arange(1, 5)[:, None]
+    c = np.linspace(-2.0, 2.0, 9)[None, :]
+    t0 = time.perf_counter()
+    g = classify_grid(alpha, n, c)
+    assert time.perf_counter() - t0 < 1.0
+    step = 1.0 + alpha
+    gap = np.sqrt(np.maximum(g.mu, 0.0))
+    tol = 1e-9 * np.maximum(1.0, gap)
+    i, j = g.witness[..., 0], g.witness[..., 1]
+    hit = g.resonant
+    assert hit.any()
+    assert np.all(np.abs(step * i + j - gap)[hit] <= tol[hit])
+    # the witness is the smallest (value, i) among all hits, found by brute force
+    # over every i within 3 tol of each j's line
+    for idx in zip(*np.nonzero(hit)):
+        s, g0, t = step[idx], gap[idx], tol[idx]
+        width = 3 * int(t / s) + 2
+        hits = []
+        for jj in range(int(g0 + t) + 1):
+            mid = int((g0 - jj) / s)
+            ii = np.arange(max(mid - width, 0), mid + width + 1)
+            vals = s * ii + jj
+            ok = (vals >= g0 - t) & (np.abs(vals - g0) <= t)
+            hits += [(v, a, jj) for v, a in zip(vals[ok], ii[ok])]
+        assert min(hits)[1:] == (i[idx], j[idx])

@@ -129,23 +129,22 @@ def cmd_classify(args) -> int:
         header = ["alpha", "n", "c", "mu", "verdict", "regime", "resonant"]
         emit(to_csv(header, list(zip(alpha, n, c, mu, verdict, regime, resonant))), args.out)
         return EXIT_OK
-    lp, lm = g.lambda_plus.ravel(), g.lambda_minus.ravel()
     rows = [
         {
             "alpha": a,
             "n": nn,
             "c": cc,
             "mu": m,
-            "lambda_plus": {"re": lp_re, "im": lp_im},
-            "lambda_minus": {"re": lm_re, "im": lm_im},
+            "lambda_plus": {"re": lp.real, "im": lp.imag},
+            "lambda_minus": {"re": lm.real, "im": lm.imag},
             "verdict": v,
             "regime": r,
             "resonant": res,
             "resonance_witness": wit if res else None,
         }
-        for a, nn, cc, m, lp_re, lp_im, lm_re, lm_im, v, r, res, wit in zip(
-            alpha, n, c, mu, lp.real.tolist(), lp.imag.tolist(), lm.real.tolist(),
-            lm.imag.tolist(), verdict, regime, resonant, g.witness.reshape(-1, 2).tolist(),
+        for a, nn, cc, m, lp, lm, v, r, res, wit in zip(
+            alpha, n, c, mu, g.lambda_plus.ravel().tolist(), g.lambda_minus.ravel().tolist(),
+            verdict, regime, resonant, g.witness.reshape(-1, 2).tolist(),
         )
     ]
     emit(to_json({"rows": rows}), args.out)

@@ -123,12 +123,12 @@ class GrushinParams:
 def discriminant(alpha, n, c):
     """Discriminant mu of the indicial polynomial, elementwise over arrays.
 
-    A float for scalar arguments.  The square is taken by ``pow``, as
-    Python's ``**`` does, which can differ from x*x in the last bit.
+    Arrays are squared by ``pow``, as Python's ``**`` squares floats: numpy's
+    ``**`` squares arrays by x*x, which can differ in the last bit.
     """
-    an = np.multiply(alpha, n)
-    mu = np.float_power(1.0 + an, 2) - 4.0 * c * an * (an + alpha + 2.0)
-    return mu if np.ndim(mu) else float(mu)
+    an = alpha * n
+    square = np.float_power(1.0 + an, 2) if isinstance(an, np.ndarray) else (1.0 + an) ** 2
+    return square - 4.0 * c * an * (an + alpha + 2.0)
 
 
 @dataclass(frozen=True)
@@ -343,7 +343,7 @@ def classify_grid(alpha, n, c) -> ClassifiedGrid:
     ):
         if not ok.all():
             raise ValueError(f"{message}, got {values[~ok][0]}")
-    mu = np.asarray(discriminant(alpha, n, c))
+    mu = discriminant(alpha, n, c)
     if not np.isfinite(mu).all():
         raise ValueError("mu overflows on this grid")
     critical = np.abs(mu - 4.0) < MU4_TOL * np.maximum(1.0, np.abs(mu))

@@ -282,6 +282,15 @@ def test_classify_grid_matches_one_point_views():
         assert tuple(g.witness[idx]) == (wit if flag else (-1, -1))
 
 
+def test_discriminant_arrays_match_python_floats():
+    # numpy squares arrays by x*x, Python floats by pow; they differ in the last
+    # bit for about one value in a thousand, and the CLI bytes must not
+    rng = np.random.default_rng(7)
+    alpha, n, c = rng.uniform(-0.99, 3.0, 20000), rng.integers(1, 5, 20000), rng.uniform(-2.0, 2.0, 20000)
+    expected = [discriminant(a, k, cc) for a, k, cc in zip(alpha.tolist(), n.tolist(), c.tolist())]
+    assert discriminant(alpha, n, c).tolist() == expected
+
+
 def test_critical_point_is_resonant():
     v = classify(GrushinParams(2.0, 1, forbidden_c(2.0, 1)))
     assert v.verdict == Verdict.CRITICAL_MU4_INDETERMINATE and v.resonant

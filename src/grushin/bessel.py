@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 import scipy.special as sp
@@ -279,14 +279,6 @@ class BesselModelOp:
         r = math.sqrt(-disc) / 2.0
         re = (1.0 - self.a) / 2.0
         return complex(re, r), complex(re, -r)
-
-    def apply(self, u: Callable, du: Callable, ddu: Callable, x: float) -> float:
-        """Evaluate T u pointwise from closed-form derivatives."""
-        return (
-            x * x * ddu(x)
-            + self.a * x * du(x)
-            + (self.b - self.h * x ** (2.0 * self.beta)) * u(x)
-        )
 
     def to_json_dict(self) -> dict:
         return {"a": self.a, "b": self.b, "h": self.h, "beta": self.beta, "delta": self.delta}

@@ -5,7 +5,8 @@ tabular) with a ``schema_version`` field, printed to stdout or written via
 --out.  Identical invocations produce byte-identical output: floats are
 rendered by ``repr`` (shortest round trip), row order is the input order,
 and nothing timestamps itself.  Exit codes: 0 ok, 1 a numerical cross-check
-failed, 2 usage, 3 numerics did not converge.
+failed, 2 usage, 3 numerics did not converge or reached a numerical limit
+(``ResonantCaseError``, ``UnsupportedConfigurationError``).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import curvature as curvature_mod
+from .deficiency import UnsupportedConfigurationError, aggregate_deficiency
 from .extensions import (
     BoundaryJet,
     CheckFailedError,
@@ -34,6 +36,7 @@ from .extensions import (
 )
 from .frobenius import (
     CertificateError,
+    ResonantCaseError,
     expand,
     flat_model_series_data,
     residual_certificate,
@@ -223,8 +226,6 @@ def cmd_phase_diagram(args) -> int:
 
 
 def cmd_deficiency(args) -> int:
-    from .deficiency import aggregate_deficiency  # imports scipy
-
     p = GrushinParams(args.alpha, args.n, args.c)
     report = aggregate_deficiency(p, args.kmax)
     if args.format == "csv":
@@ -550,6 +551,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, ParseError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (ResonantCaseError, UnsupportedConfigurationError) as exc:
+        print(f"numerical limit: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

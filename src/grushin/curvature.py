@@ -44,7 +44,6 @@ __all__ = [
     "christoffel_from_structure_constants",
     "scalar_from_christoffel",
     "coordinate_scalar_curvature",
-    "warped_metric_matrix",
     "conformal_frame_christoffel",
     "asymptotic_check",
 ]
@@ -172,10 +171,8 @@ def scalar_from_christoffel(
         G = np.asarray(chr_data.gamma(x, y), dtype=float)
         e = np.asarray(chr_data.frame(x, y), dtype=float)
 
-        # coordinate partials of the diagonal contraction D[C, B] = Gamma^B_{CC}... we
-        # need partials of G itself only through X_B[G[B, A, A]]
         hx = step * max(abs(x), 1.0)
-        dG = np.zeros((m, m, m, m))  # dG[c, CAB...] partial along coordinate c
+        dG = np.zeros((m, m, m, m))  # dG[c] = partial of G along coordinate c
         dG[0] = _fd4(lambda t: chr_data.gamma(t, y), x, hx)
         for c in range(1, m):
             hy = step * max(float(abs(y[c - 1])), 1.0)
@@ -187,12 +184,8 @@ def scalar_from_christoffel(
 
             dG[c] = _fd4(shifted, float(y[c - 1]), hy)
 
-        # X_B[f] = sum_c e[B, c] d_c f
-        term1 = 0.0
-        for A in range(m):
-            for B in range(m):
-                term1 += 2.0 * float(np.tensordot(e[B], dG[:, B, A, A], axes=1))
-
+        # sum_A 2 X_B[Gamma^B_{AA}], with X_B[f] = sum_c e[B, c] d_c f
+        term1 = 2.0 * np.einsum("bc,cbaa->", e, dG)
         t2 = np.einsum("bca,cab->", G, G)
         t3 = np.einsum("bbc,caa->", G, G)
         t4 = np.einsum("bca,cba->", G, G)
@@ -222,85 +215,45 @@ def coordinate_scalar_curvature(
     m = u.size
     hs = np.array([step * max(abs(c), 1.0) for c in u])
 
-    def g_at(v):
+    def g_at(*moves):
+        v = u.copy()
+        for c, t in moves:  # coordinate c set to t
+            v[c] = t
         return np.asarray(metric(v), dtype=float)
 
-    g0 = g_at(u)
-    ginv = np.linalg.inv(g0)
-
-    dg = np.zeros((m, m, m))
-    for c in range(m):
-        def shifted(t, c=c):
-            v = u.copy()
-            v[c] = t
-            return g_at(v)
-
-        dg[c] = _fd4(shifted, u[c], hs[c])
+    ginv = np.linalg.inv(g_at())
+    dg = np.array([_fd4(lambda t, c=c: g_at((c, t)), u[c], hs[c]) for c in range(m)])
 
     ddg = np.zeros((m, m, m, m))  # ddg[c, d] = d_c d_d g
     w2 = (-1.0 / 12.0, 4.0 / 3.0, -5.0 / 2.0, 4.0 / 3.0, -1.0 / 12.0)
     for c in range(m):
         # pure second derivative along c: 4th-order second-difference stencil
-        acc = np.zeros((m, m))
-        for wgt, off in zip(w2, _FD_OFFSETS):
-            v = u.copy()
-            v[c] += off * hs[c]
-            acc += wgt * g_at(v)
+        acc = sum(wgt * g_at((c, u[c] + off * hs[c])) for wgt, off in zip(w2, _FD_OFFSETS))
         ddg[c, c] = acc / hs[c] ** 2
         # mixed derivatives: outer difference of the inner first derivative
         for d in range(c + 1, m):
 
-            def inner_first(t, c=c, d=d):
-                v = u.copy()
-                v[c] = t
-
-                def inner(s, v=v, d=d):
-                    w = v.copy()
-                    w[d] = s
-                    return g_at(w)
-
-                return _fd4(inner, v[d], hs[d])
+            def inner_first(t, c=c, d=d):  # d_d g with coordinate c set to t
+                return _fd4(lambda s: g_at((c, t), (d, s)), u[d], hs[d])
 
             mixed = _fd4(inner_first, u[c], hs[c])
             ddg[c, d] = mixed
             ddg[d, c] = mixed
+    return _ricci_scalar(ginv, dg, ddg)
 
-    def christoffel(g, ig, dgrad):
-        # Gamma[a, b, c] with lower (b, c)
-        out = np.zeros((m, m, m))
-        for a in range(m):
-            for b in range(m):
-                for c in range(m):
-                    s = 0.0
-                    for d in range(m):
-                        s += ig[a, d] * (dgrad[b][d, c] + dgrad[c][d, b] - dgrad[d][b, c])
-                    out[a, b, c] = 0.5 * s
-        return out
 
-    Gam = christoffel(g0, ginv, dg)
-
-    # dGamma[e, a, b, c] = d_e Gamma^a_{bc}
-    dGam = np.zeros((m, m, m, m))
-    dginv = np.array([-ginv @ dg[c] @ ginv for c in range(m)])
-    for e in range(m):
-        for a in range(m):
-            for b in range(m):
-                for c in range(m):
-                    s = 0.0
-                    for d in range(m):
-                        s += dginv[e][a, d] * (dg[b][d, c] + dg[c][d, b] - dg[d][b, c])
-                        s += ginv[a, d] * (ddg[e, b][d, c] + ddg[e, c][d, b] - ddg[e, d][b, c])
-                    dGam[e, a, b, c] = 0.5 * s
-
-    ricci = np.zeros((m, m))
-    for b in range(m):
-        for d in range(m):
-            val = 0.0
-            for a in range(m):
-                val += dGam[a, a, b, d] - dGam[b, a, a, d]
-                for e_ in range(m):
-                    val += Gam[a, a, e_] * Gam[e_, b, d] - Gam[a, b, e_] * Gam[e_, a, d]
-            ricci[b, d] = val
+def _ricci_scalar(ginv: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> float:
+    """S from g^{-1}, dg[c] = d_c g and ddg[c, d] = d_c d_d g at one point."""
+    # first-kind symbols [d, b, c] = d_b g_dc + d_c g_db - d_d g_bc, and their derivatives
+    first = np.einsum("bdc->dbc", dg) + np.einsum("cdb->dbc", dg) - dg
+    dfirst = np.einsum("ebdc->edbc", ddg) + np.einsum("ecdb->edbc", ddg) - ddg
+    dginv = -ginv @ dg @ ginv  # d_e g^{-1}, stacked over e
+    Gam = 0.5 * np.einsum("ad,dbc->abc", ginv, first)  # Gamma^a_{bc}
+    # dGam[e, a, b, c] = d_e Gamma^a_{bc}
+    dGam = 0.5 * (np.einsum("ead,dbc->eabc", dginv, first)
+                  + np.einsum("ad,edbc->eabc", ginv, dfirst))
+    ricci = (np.einsum("aabd->bd", dGam) - np.einsum("baad->bd", dGam)
+             + np.einsum("aae,ebd->bd", Gam, Gam) - np.einsum("abe,ead->bd", Gam, Gam))
     return float(np.einsum("bd,bd->", ginv, ricci))
 
 
@@ -318,10 +271,6 @@ class WarpedMetric:
         g[0, 0] = 1.0
         g[1:, 1:] = abs(x) ** (-2.0 * self.alpha) * np.asarray(self.g_xZ(x, y), dtype=float)
         return g
-
-
-def warped_metric_matrix(metric: WarpedMetric) -> Callable[[np.ndarray], np.ndarray]:
-    return metric.full_matrix
 
 
 @dataclass(frozen=True)
@@ -438,9 +387,9 @@ def asymptotic_check(
     if xs.min() <= 0 or xs.max() > 0.5 + 1e-12:
         raise ValueError("x_grid must lie in (0, 0.5]")
     y = np.zeros(metric.n) if y is None else np.asarray(y, dtype=float)
-    g_fn = warped_metric_matrix(metric)
     vals = np.array(
-        [x * x * coordinate_scalar_curvature(g_fn, np.concatenate([[x], y]), step) for x in xs]
+        [x * x * coordinate_scalar_curvature(metric.full_matrix, np.concatenate([[x], y]), step)
+         for x in xs]
     )
     an = metric.alpha * metric.n
     expected = -an * (an + metric.alpha + 2.0)

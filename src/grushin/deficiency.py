@@ -11,7 +11,9 @@ The keystone identity A + 1/4 = mu/4 ties these operators to the indicial
 discriminant and pins down the sign convention for mu: the endpoint x = 0 is
 limit circle exactly when nu^2 := A + 1/4 < 1, i.e. mu < 4.  Deficiency
 indices are counted by shooting: solutions of (op -+ i) u = 0 are launched
-from truncated Frobenius series at x0 and classified at infinity by how
+at x0 from the truncated plus-root series that ``frobenius.expand`` builds
+for the flat model (the indicial polynomial of op is the flat model's, in
+the variable s = lambda - alpha n/2), and classified at infinity by how
 their logarithmic derivative tracks the WKB exponent.
 """
 
@@ -22,9 +24,12 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .params import GrushinParams, discriminant
+from .frobenius import OperatorSeriesData, expand
+from .params import GrushinParams
+
+#: grade cutoff of the shooting start's series
+START_ORDER = 6.0
 
 __all__ = [
     "ModeOperator",
@@ -32,7 +37,7 @@ __all__ = [
     "DeficiencyReport",
     "mode_operator",
     "classify_endpoint_zero",
-    "frobenius_start",
+    "series_start",
     "numeric_deficiency_count",
     "aggregate_deficiency",
 ]
@@ -96,48 +101,30 @@ def _indicial_exponents(op: ModeOperator) -> Tuple[complex, complex]:
     return 0.5 + root, 0.5 - root
 
 
-def frobenius_start(op: ModeOperator, eig: complex, root: str, x0: float, order: float = 6.0):
-    """(u, u') at x0 from the truncated series solution of u'' = (V + eig) u.
+def series_start(op: ModeOperator, eig: complex, x0: float):
+    """(u, u') at x0 from the plus-root series solution of u'' = (V + eig) u.
 
-    The series runs over exponents s + 2(1+alpha) i + 2 j; the ``minus`` root
-    raises when a correction grade collides with the exponent gap (resonant
-    start), which the counting scheme never needs.
+    With s = lambda - alpha n/2 the indicial polynomial s(s-1) - A of this
+    ODE is ``indicial_data(params).p(lambda)``, so the series is the flat
+    model's ``expand`` with couplings -k^2 at grade 2(1+alpha) and -eig at
+    grade 2, carried back by the gauge factor x^{-alpha n/2}.
     """
-    s_plus, s_minus = _indicial_exponents(op)
-    s = s_plus if root == "plus" else s_minus
-    a = op.params.alpha
-    k2 = op.mode_strength**2
-    A = op.inverse_square_coeff
-
-    def ptilde(sigma: complex) -> complex:
-        return sigma * (sigma - 1.0) - A
-
-    # correction grades: sums of the potential's steps 2(1+alpha) and 2
-    steps = ((2.0 * (1.0 + a), k2), (2.0, eig))
-    grades = [0.0]
-    frontier = [0.0]
-    while frontier:
-        g = frontier.pop()
-        for st, _ in steps:
-            t = g + st
-            if t <= order + 1e-12 and not any(abs(t - u) < 1e-10 for u in grades):
-                grades.append(t)
-                frontier.append(t)
-
-    solved = {0.0: 1.0 + 0.0j}
-    for t in sorted(grades)[1:]:
-        rhs = sum(
-            (w * cu for st, w in steps for u, cu in solved.items() if abs(u - (t - st)) < 1e-10),
-            start=0.0 + 0.0j,
-        )
-        denom = ptilde(s + t)
-        if abs(denom) < 1e-12:
-            raise ValueError(f"resonant Frobenius start at grade {t} for root {root}")
-        solved[t] = rhs / denom
-
-    u = sum(c * x0 ** (s + t) for t, c in solved.items())
-    du = sum(c * (s + t) * x0 ** (s + t - 1.0) for t, c in solved.items())
-    return complex(u), complex(du)
+    p = op.params
+    data = OperatorSeriesData(
+        params=p,
+        K=0,
+        modes=((0,) * p.n,),
+        blocks={
+            2.0 * (1.0 + p.alpha): np.array([[-op.mode_strength**2]], dtype=complex),
+            2.0: np.array([[-eig]], dtype=complex),
+        },
+    )
+    series = expand(data, "plus", np.ones(1), START_ORDER)
+    shift = 0.5 * p.alpha_n
+    gauge = x0**-shift
+    u = complex(series.profiles(x0)[0, 0])
+    du = complex(series.derivative_profiles(x0)[0, 0])
+    return gauge * u, gauge * (du - shift * u / x0)
 
 
 def _integrate_renormalized(op: ModeOperator, eig: complex, x_start: float, x_end: float,
@@ -152,6 +139,8 @@ def _integrate_renormalized(op: ModeOperator, eig: complex, x_start: float, x_en
     the true solution is e^{log_scale(x)} times larger (log-derivatives are
     gauge-invariant, which is all the decay test uses).
     """
+    from scipy.integrate import solve_ivp  # deferred so the CLI starts without scipy
+
     A = op.inverse_square_coeff
     a2 = 2.0 * op.params.alpha
     k2 = op.mode_strength**2
@@ -237,7 +226,7 @@ def numeric_deficiency_count(op: ModeOperator, sign: int, x0: float = 1e-3,
     s_plus, s_minus = _indicial_exponents(op)
     both_admissible = s_minus.real > -0.5  # limit circle at 0
 
-    y_plus = frobenius_start(op, eig, "plus", x0)
+    y_plus = series_start(op, eig, x0)
     if both_admissible:
         # Every solution is admissible at 0, and the decay space at infinity
         # is one-dimensional (limit point with nonreal spectral parameter),

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -178,11 +178,6 @@ class FrobeniusExpansion:
         }
 
 
-def _grades(data: OperatorSeriesData, cutoff: float) -> Sequence[float]:
-    lat = theta_lattice(data.params.alpha, cutoff)
-    return lat.elements
-
-
 def expand(
     data: OperatorSeriesData,
     root: str,
@@ -215,7 +210,7 @@ def expand(
         resonant = res_flag and gap.real <= cutoff + _GRADE_TOL
     double_root = resonant and abs(gap) <= _GRADE_TOL
 
-    grades = _grades(data, cutoff)
+    grades = theta_lattice(data.params.alpha, cutoff).elements
 
     def accumulated(solved: dict, phi: float) -> np.ndarray:
         rhs = np.zeros(data.dim, dtype=complex)

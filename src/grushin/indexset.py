@@ -195,13 +195,6 @@ class IndexSet:
             points=self.points + other.points, gens=self.gens + other.gens, truncation=trunc
         )
 
-    def bump_logs(self, extra: int) -> "IndexSet":
-        return IndexSet(
-            points=tuple((s, p + extra) for s, p in self.points),
-            gens=tuple(Generator(g.base, g.p + extra, g.kind, g.scale, g.alpha) for g in self.gens),
-            truncation=self.truncation,
-        )
-
     def is_smooth_upto(self, height: float) -> bool:
         """Smooth-closure check on the truncated enumeration: (s,p) => (s+k, p-l)."""
         entries = self.enumerate_upto(height)
@@ -216,11 +209,6 @@ class IndexSet:
                 if not self.contains(s, p - l, height):
                     return False
         return True
-
-    def finite_tail_ok(self, height: float) -> bool:
-        """Within Re <= height the enumeration is finite (structurally true;
-        checked by actually enumerating)."""
-        return len(self.enumerate_upto(height)) < math.inf
 
     def to_json_dict(self) -> dict:
         from .params import complex_to_json

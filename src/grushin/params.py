@@ -39,6 +39,7 @@ and ``resonance`` are the one-point views of this implementation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -94,7 +95,7 @@ class GrushinParams:
 
     alpha > -1 is the order of the metric singularity, n >= 1 the dimension
     of the singular set, c the coupling constant of the scalar-curvature
-    potential in Delta - c*S.
+    potential in Delta - c*S.  alpha and c must be finite.
     """
 
     alpha: float
@@ -102,8 +103,10 @@ class GrushinParams:
     c: float
 
     def __post_init__(self):
-        if not self.alpha > -1:
-            raise ValueError(f"alpha must be > -1, got {self.alpha}")
+        if not (self.alpha > -1 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be finite and > -1, got {self.alpha}")
+        if not math.isfinite(self.c):
+            raise ValueError(f"c must be finite, got {self.c}")
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
         object.__setattr__(self, "n", int(self.n))

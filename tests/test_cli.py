@@ -5,7 +5,12 @@ import sys
 
 import pytest
 
+from grushin import cli
 from grushin.cli import main, parse_grid
+from grushin.deficiency import UnsupportedConfigurationError
+from grushin.extensions import CheckFailedError
+from grushin.frobenius import CertificateError, ResonantCaseError
+from grushin.indexset_lang import ParseError
 
 
 def run_cli(args, capsys):
@@ -255,6 +260,32 @@ def test_usage_exit_codes(capsys):
                  "--out-svg", "p.svg", "--out-csv", "p.csv"]) == 2
     assert main(["phase-diagram", "--alpha", "1", "--c", "0", "--n", "0",
                  "--out-svg", "p.svg", "--out-csv", "p.csv"]) == 2
+    # non-finite alpha or c is rejected, not run through to NaN / Infinity tokens
+    assert main(["frobenius", "--alpha", "1", "--n", "1", "--c", "nan", "--root", "plus"]) == 2
+    assert main(["curvature", "--alpha", "inf", "--n", "1"]) == 2
+    assert main(["deficiency", "--alpha", "1", "--n", "1", "--c", "nan", "--kmax", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "error,code",
+    [
+        (cli.UsageError("bad"), 2),
+        (ParseError("bad"), 2),
+        (ValueError("bad"), 2),
+        (ResonantCaseError("limit"), 3),
+        (UnsupportedConfigurationError("limit"), 3),
+        (CertificateError("failed"), 1),
+        (CheckFailedError("failed"), 1),
+        (RuntimeError("diverged"), 3),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_exit_code_table(monkeypatch, capsys, error, code):
+    def raising(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_indexset", raising)
+    assert main(["indexset", "Empty"]) == code
 
 
 def test_light_subcommands_do_not_import_scipy(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from grushin.params import GrushinParams
 from grushin.curvature import (
+    _ricci_scalar,
     ConformalFactor,
     FrameChristoffel,
     InvalidConnectionError,
@@ -17,7 +19,6 @@ from grushin.curvature import (
     flat_model_scalar,
     flat_model_scalar_frame_form,
     scalar_from_christoffel,
-    warped_metric_matrix,
 )
 
 
@@ -99,13 +100,52 @@ def test_coordinate_oracle_flat_cylinder():
     # g_xZ = Id: x^2 S is exactly the flat constant
     for alpha, n in [(1.0, 1), (0.5, 1), (1.5, 2)]:
         metric = WarpedMetric(alpha=alpha, n=n, g_xZ=lambda x, y, n=n: np.eye(n))
-        g_fn = warped_metric_matrix(metric)
+        g_fn = metric.full_matrix
         p = GrushinParams(alpha, n, 0.0)
         for x in (0.2, 0.4):
             u = np.concatenate([[x], np.full(n, 0.3)])
             S = coordinate_scalar_curvature(g_fn, u)
             assert x * x * S == pytest.approx(flat_model_scalar(p), rel=1e-7)
 
+
+
+def _loop_ricci_scalar(ginv, dg, ddg):
+    # index-by-index contraction, the reference for the einsum form
+    m = ginv.shape[0]
+    dginv = [-ginv @ dg[c] @ ginv for c in range(m)]
+    Gam = np.zeros((m, m, m))
+    dGam = np.zeros((m, m, m, m))
+    for a, b, c, d in itertools.product(range(m), repeat=4):
+        Gam[a, b, c] += 0.5 * ginv[a, d] * (dg[b][d, c] + dg[c][d, b] - dg[d][b, c])
+    for e, a, b, c, d in itertools.product(range(m), repeat=5):
+        dGam[e, a, b, c] += 0.5 * (
+            dginv[e][a, d] * (dg[b][d, c] + dg[c][d, b] - dg[d][b, c])
+            + ginv[a, d] * (ddg[e, b][d, c] + ddg[e, c][d, b] - ddg[e, d][b, c])
+        )
+    S = 0.0
+    for b, d in itertools.product(range(m), repeat=2):
+        ricci = 0.0
+        for a in range(m):
+            ricci += dGam[a, a, b, d] - dGam[b, a, a, d]
+            for e in range(m):
+                ricci += Gam[a, a, e] * Gam[e, b, d] - Gam[a, b, e] * Gam[e, a, d]
+        S += ginv[b, d] * ricci
+    return S
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_ricci_contraction_matches_loops(m):
+    rng = np.random.default_rng(m)
+    for _ in range(10):
+        a = rng.normal(size=(m, m))
+        ginv = np.linalg.inv(a @ a.T + m * np.eye(m))
+        dg = rng.normal(size=(m, m, m))
+        dg = dg + np.swapaxes(dg, 1, 2)  # each d_c g symmetric
+        ddg = rng.normal(size=(m, m, m, m))
+        ddg = ddg + np.swapaxes(ddg, 2, 3)
+        ddg = ddg + np.swapaxes(ddg, 0, 1)  # mixed partials commute
+        ref = _loop_ricci_scalar(ginv, dg, ddg)
+        assert _ricci_scalar(ginv, dg, ddg) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 SAMPLES = [
     # (alpha, n, factor)
@@ -132,7 +172,7 @@ def test_frame_vs_coordinate_oracle(alpha, n, factor):
     metric = factor.metric(alpha, n)
     chr_data = conformal_frame_christoffel(alpha, n, factor)
     S_frame = scalar_from_christoffel(chr_data)
-    g_fn = warped_metric_matrix(metric)
+    g_fn = metric.full_matrix
     for x in (0.25, 0.45):
         y = np.array([0.8])
         frame_val = S_frame(x, y)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +9,9 @@ from grushin.deficiency import (
     UnsupportedConfigurationError,
     aggregate_deficiency,
     classify_endpoint_zero,
-    frobenius_start,
     mode_operator,
     numeric_deficiency_count,
+    series_start,
 )
 
 
@@ -69,18 +71,26 @@ def test_classifier_agreement(alpha, n, c):
 
 def test_frobenius_start_is_accurate():
     # the truncated series start must satisfy the ODE residual locally
-    op = mode_operator(GrushinParams(0.5, 1, 0.0), 1.0)
-    eig = -1j
-    x0 = 1e-3
-    u, du = frobenius_start(op, eig, "plus", x0)
-    h = 1e-5 * x0
-    um, _ = frobenius_start(op, eig, "plus", x0 - h)
-    up, _ = frobenius_start(op, eig, "plus", x0 + h)
-    ddu = (up - 2 * u + um) / h**2
-    V = complex(op.potential(x0)) + eig
-    assert abs(ddu - V * u) <= 1e-4 * max(1.0, abs(V * u))
-    # central difference of the series matches its reported derivative
-    assert abs((up - um) / (2 * h) - du) <= 1e-8 * abs(du)
+    cases = [
+        # (alpha, n, c, k, eig)
+        (0.5, 1, 0.0, 1.0, -1j),
+        (1.0, 1, 1.0, 1.0, -1j),  # mu < 0: complex exponents
+        (0.5, 2, 0.0, 1.0, -1j),
+        (0.5, 1, 0.0, 3.0, -1j),
+        (0.5, 1, 0.0, 1.0, 1j),
+    ]
+    # at x0 = 0.1 the couplings k^2 x^{2 alpha} and eig are visible above the tolerance
+    for (alpha, n, c, k, eig), x0 in itertools.product(cases, (1e-3, 1e-1)):
+        h = 1e-5 * x0
+        op = mode_operator(GrushinParams(alpha, n, c), k)
+        u, du = series_start(op, eig, x0)
+        um, _ = series_start(op, eig, x0 - h)
+        up, _ = series_start(op, eig, x0 + h)
+        ddu = (up - 2 * u + um) / h**2
+        V = complex(op.potential(x0)) + eig
+        assert abs(ddu - V * u) <= 1e-4 * max(1.0, abs(V * u)), (alpha, n, c, k, eig, x0)
+        # central difference of the series matches its reported derivative
+        assert abs((up - um) / (2 * h) - du) <= 1e-8 * abs(du), (alpha, n, c, k, eig, x0)
 
 
 def test_shooting_limit_circle_counts_one():

@@ -50,6 +50,8 @@ __all__ = [
 
 _FD_WEIGHTS = (1.0 / 12.0, -2.0 / 3.0, 0.0, 2.0 / 3.0, -1.0 / 12.0)
 _FD_OFFSETS = (-2.0, -1.0, 0.0, 1.0, 2.0)
+#: remainder powers of asymptotic_check closer than this are not told apart by its fit
+_POWER_GAP = 0.25
 
 
 class InvalidConnectionError(ValueError):
@@ -377,11 +379,18 @@ def asymptotic_check(
     y: Optional[np.ndarray] = None,
     step: float = 1e-4,
 ) -> AsymptoticReport:
-    """Fit the limit of x^2 S(x) on a log grid in (0, 0.5] and the remainder decay.
+    """Fit the limit of x^2 S(x) on a grid in (0, 0.5] and the leading remainder power.
 
-    S comes from the coordinate oracle on the full warped metric; the model
-    x^2 S = L + c x^q is fit with q estimated from successive differences.
-    The expected L is -alpha n (alpha n + alpha + 2), independent of g_xZ.
+    S comes from the coordinate oracle on the full warped metric.  In the
+    normal form g = dx^2 + g_x, S is the slice metric's own curvature plus
+    terms in d_x g_x and d_x^2 g_x; the slice curvature scales exactly like
+    x^{2 alpha}, so x^2 S = L + sum_i a_i x^i + x^{2+2 alpha} sum_i b_i x^i.
+    One least-squares fit over those powers up to 3 gives L; a power closer than
+    _POWER_GAP to 0 or to a smaller kept power is left out (the fit cannot
+    tell the two apart on the grid), and at most len(x_grid) - 3 powers are
+    kept.  The expected L is -alpha n (alpha n + alpha + 2), independent of
+    g_xZ; the reported remainder exponent is the smallest power whose term
+    reaches 1% of the largest one on the grid.
     """
     xs = np.asarray(sorted(x_grid), dtype=float)
     if xs.min() <= 0 or xs.max() > 0.5 + 1e-12:
@@ -404,19 +413,22 @@ def asymptotic_check(
             x_values=tuple(xs),
             x2S_values=tuple(vals),
         )
-    # fit x^2 S = L + c x^q by scanning the remainder exponent (grid-agnostic)
-    best = None
-    for q in np.linspace(0.25, 6.0, 231):
-        A = np.column_stack([np.ones_like(xs), xs**q])
-        coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
-        rss = float(np.sum((A @ coef - vals) ** 2))
-        if best is None or rss < best[0]:
-            best = (rss, float(q), float(coef[0]))
-    _, q, limit = best
+    slice_power = 2.0 + 2.0 * metric.alpha
+    powers: list = []
+    candidates = [1.0, 2.0, 3.0] + [slice_power + i for i in range(3) if slice_power + i <= 3.0]
+    for q in sorted(candidates):
+        if q >= _POWER_GAP and all(q - kept >= _POWER_GAP for kept in powers):
+            powers.append(q)
+    powers = powers[: max(xs.size - 3, 0)]
+    design = np.column_stack([np.ones_like(xs)] + [xs**q for q in powers])
+    coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
+    limit = float(coef[0])
+    terms = np.abs(coef[1:]) * xs.max() ** np.array(powers)
+    q = next((p for p, t in zip(powers, terms) if t >= 0.01 * terms.max()), math.inf)
     return AsymptoticReport(
         limit=limit,
         expected=expected,
-        remainder_exponent=q,
+        remainder_exponent=float(q),
         x_values=tuple(xs),
         x2S_values=tuple(vals),
     )

@@ -10,11 +10,11 @@ Schroedinger operators
 The keystone identity A + 1/4 = mu/4 ties these operators to the indicial
 discriminant and pins down the sign convention for mu: the endpoint x = 0 is
 limit circle exactly when nu^2 := A + 1/4 < 1, i.e. mu < 4.  Deficiency
-indices are counted by shooting: solutions of (op -+ i) u = 0 are launched
-at x0 from the truncated plus-root series that ``frobenius.expand`` builds
-for the flat model (the indicial polynomial of op is the flat model's, in
-the variable s = lambda - alpha n/2), and classified at infinity by how
-their logarithmic derivative tracks the WKB exponent.
+indices are counted numerically, without that identity: the solution of
+(op -+ i) u = 0 that decays at infinity is integrated inward from a WKB
+start, and the exponent gamma of |u| ~ x^gamma is fitted near 0.  The count
+is 1 exactly when gamma > -1/2, so the oracle can disagree with the closed
+form in either regime.
 """
 
 from __future__ import annotations
@@ -25,11 +25,17 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .frobenius import OperatorSeriesData, expand
 from .params import GrushinParams
 
-#: grade cutoff of the shooting start's series
-START_ORDER = 6.0
+#: WKB e-folds between the fit window and the start of the inward integration
+START_EFOLDS = 40.0
+#: the couplings k^2 x^{2+2 alpha} and |eig| x^2 stay below this on the fit window
+WINDOW_COUPLING = 1e-8
+#: length of the fit window in t = ln x, and its number of samples
+WINDOW_LENGTH = 20.0
+WINDOW_POINTS = 201
+#: growth of log|u| allowed in one integration segment before the state is renormalized
+SEGMENT_EFOLDS = 100.0
 
 __all__ = [
     "ModeOperator",
@@ -37,14 +43,15 @@ __all__ = [
     "DeficiencyReport",
     "mode_operator",
     "classify_endpoint_zero",
-    "series_start",
+    "fit_local_exponent",
+    "square_integrable_at_zero",
     "numeric_deficiency_count",
     "aggregate_deficiency",
 ]
 
 
 class UnsupportedConfigurationError(ValueError):
-    """Raised when the shooting scheme's limit-point-at-infinity hypothesis fails."""
+    """Raised when the deficiency oracle's limit-point-at-infinity hypothesis fails."""
 
 
 @dataclass(frozen=True)
@@ -94,150 +101,114 @@ def classify_endpoint_zero(op: ModeOperator, tol: float = 1e-12) -> EndpointClas
     return EndpointClassification(kind, critical=False, nu_squared=nu2)
 
 
-def _indicial_exponents(op: ModeOperator) -> Tuple[complex, complex]:
-    """Exponents of x^s solutions of u'' = (A/x^2) u: s = 1/2 +- sqrt(A + 1/4)."""
-    nu2 = op.nu_squared
-    root = math.sqrt(nu2) if nu2 >= 0 else 1j * math.sqrt(-nu2)
-    return 0.5 + root, 0.5 - root
+def fit_local_exponent(t, log_abs, frequency: float = 0.0) -> Tuple[float, float]:
+    """Least-squares fit of log|u| = gamma t + b over samples t = ln x; returns (gamma, residual).
 
-
-def series_start(op: ModeOperator, eig: complex, x0: float):
-    """(u, u') at x0 from the plus-root series solution of u'' = (V + eig) u.
-
-    With s = lambda - alpha n/2 the indicial polynomial s(s-1) - A of this
-    ODE is ``indicial_data(params).p(lambda)``, so the series is the flat
-    model's ``expand`` with couplings -k^2 at grade 2(1+alpha) and -eig at
-    grade 2, carried back by the gauge factor x^{-alpha n/2}.
+    With ``frequency`` f > 0 the model adds cos(f t) and sin(f t), the
+    oscillation of |u| at complex exponents 1/2 +- i|nu| (f = 2|nu|).  The
+    harmonic columns are left out when the window is shorter than one period:
+    there they are nearly collinear with the linear terms, and the slow
+    oscillation reads as a slow drift of the linear fit instead.  The
+    residual is the root mean square of the fit's residuals.
     """
-    p = op.params
-    data = OperatorSeriesData(
-        params=p,
-        K=0,
-        modes=((0,) * p.n,),
-        blocks={
-            2.0 * (1.0 + p.alpha): np.array([[-op.mode_strength**2]], dtype=complex),
-            2.0: np.array([[-eig]], dtype=complex),
-        },
-    )
-    series = expand(data, "plus", np.ones(1), START_ORDER)
-    shift = 0.5 * p.alpha_n
-    gauge = x0**-shift
-    u = complex(series.profiles(x0)[0, 0])
-    du = complex(series.derivative_profiles(x0)[0, 0])
-    return gauge * u, gauge * (du - shift * u / x0)
+    t = np.asarray(t, dtype=float)
+    cols = [np.ones_like(t), t - t.mean()]
+    if frequency * np.ptp(t) >= 2.0 * math.pi:
+        cols += [np.cos(frequency * t), np.sin(frequency * t)]
+    design = np.column_stack(cols)
+    coef, *_ = np.linalg.lstsq(design, log_abs, rcond=None)
+    residual = log_abs - design @ coef
+    return float(coef[1]), float(np.sqrt(np.mean(residual**2)))
 
 
-def _integrate_renormalized(op: ModeOperator, eig: complex, x_start: float, x_end: float,
-                            y0: Tuple[complex, complex], rtol: float = 1e-10,
-                            growth_per_segment: float = 250.0):
-    """Integrate u'' = (V + eig) u with renormalization between segments.
+def square_integrable_at_zero(gamma: float, residual: float) -> bool:
+    """Whether |u| ~ x^gamma is L^2 near 0: gamma > -1/2 by more than the fit's residual.
 
-    Segment lengths are chosen so the WKB growth exp(int sqrt|V|) stays below
-    e^{growth_per_segment} per segment, then the state is rescaled; this keeps
-    solutions that grow like exp(x^{alpha+1}) inside floating range.  Returns
-    (samples, log_scale): samples hold (x, u, u') in the rescaled gauge, and
-    the true solution is e^{log_scale(x)} times larger (log-derivatives are
-    gauge-invariant, which is all the decay test uses).
+    x^{-1/2} itself is not L^2, so a gamma within the residual of -1/2 counts
+    as not square integrable.
     """
-    from scipy.integrate import solve_ivp  # deferred so the CLI starts without scipy
-
-    A = op.inverse_square_coeff
-    a2 = 2.0 * op.params.alpha
-    k2 = op.mode_strength**2
-
-    def rhs(x, y):
-        u = y[0] + 1j * y[1]
-        du = y[2] + 1j * y[3]
-        V = k2 * x**a2 + A / (x * x) + eig
-        ddu = V * u
-        return [du.real, du.imag, ddu.real, ddu.imag]
-
-    def rate(x: float) -> float:
-        return max(1.0, abs(math.sqrt(abs(k2 * x**a2 + A / (x * x)) + 1.0)))
-
-    u, du = y0
-    log_scale = 0.0
-    samples = [(x_start, u, du)]
-    x = x_start
-    while x < x_end:
-        dx = growth_per_segment / rate(x)
-        dx = min(dx, growth_per_segment / rate(min(x + dx, x_end)), x_end - x)
-        xr = min(x + max(dx, 1e-6 * x_end), x_end)
-        y = [u.real, u.imag, du.real, du.imag]
-        sol = solve_ivp(rhs, (x, xr), y, method="RK45", rtol=rtol, atol=1e-14)
-        if not sol.success:
-            raise RuntimeError(f"integration failed on [{x}, {xr}]: {sol.message}")
-        u = sol.y[0, -1] + 1j * sol.y[1, -1]
-        du = sol.y[2, -1] + 1j * sol.y[3, -1]
-        scale = max(abs(u), abs(du))
-        if scale > 1e50:
-            u /= scale
-            du /= scale
-            log_scale += math.log(scale)
-        x = xr
-        samples.append((x, u, du))
-    return samples, log_scale
+    return gamma > -0.5 + residual
 
 
-def _wkb_rate(op: ModeOperator, eig: complex, x: float) -> complex:
-    """Principal square root of V(x) + eig: the local WKB growth rate."""
-    V = complex(op.potential(x)) + eig
-    r = np.sqrt(V)
-    return r if r.real >= 0 else -r
-
-
-def _tracks_decay(op: ModeOperator, eig: complex, samples, rel_tol: float = 0.05) -> bool:
-    """True when u'/u tracks -sqrt(V + eig) within rel_tol over the last decade."""
-    x_end = samples[-1][0]
-    checked = 0
-    ok = 0
-    for x, u, du in samples:
-        if x < x_end / 10.0 or x == samples[0][0]:
-            continue
-        if u == 0:
-            return False
-        rate = _wkb_rate(op, eig, x)
-        checked += 1
-        if abs(du / u + rate) <= rel_tol * abs(rate):
-            ok += 1
-    return checked > 0 and ok == checked
-
-
-def numeric_deficiency_count(op: ModeOperator, sign: int, x0: float = 1e-3,
-                             x_max: float | None = None) -> int:
+def numeric_deficiency_count(op: ModeOperator, sign: int) -> int:
     """Dimension of {solutions of (op -+ i)u = 0, L2 at 0 and decaying at infinity}.
 
     ``sign=+1`` counts ker(op* + i), ``sign=-1`` ker(op* - i); the two agree
-    for this real operator.  Solutions are launched from Frobenius starts at
-    x0; admissibility at 0 reads off the exponents (Re s > -1/2), decay at
-    infinity is detected by WKB log-derivative tracking.  Returns 0 or 1 per
-    half-line.
+    for this real operator.  Infinity is limit point, so the decaying
+    solution is unique up to scale; the count is 1 exactly when it is L^2 at
+    0.  It is integrated inward, the stable direction, as (u, x u') in
+    t = ln x: the start is the second-order WKB log-derivative
+    -q - q'/(2q), q = sqrt(V + eig), at the X where the WKB exponent has
+    gained START_EFOLDS e-folds over the fit window.  The window lies where
+    the couplings k^2 x^{2+2 alpha} and |eig| x^2 are below WINDOW_COUPLING,
+    so the solution is a power of x there, and ``fit_local_exponent`` reads
+    that power.  Only the oscillation frequency 2|nu| comes from nu^2; no
+    indicial root is read.  Returns 0 or 1 per half-line.
     """
     if not (op.mode_strength > 0 or op.params.alpha > 0):
         raise UnsupportedConfigurationError(
             "need mode_strength > 0 or alpha > 0 for limit point at infinity"
         )
+    from scipy.integrate import solve_ivp  # deferred so the CLI starts without scipy
+
     eig = -1j if sign > 0 else 1j  # (op +- i) u = 0  <=>  u'' = (V -+ i) u
-    if x_max is None:
-        k, a = op.mode_strength, op.params.alpha
-        turning = k ** (-1.0 / a) if (k > 0 and a > 0) else 0.0
-        x_max = max(20.0, 2.0 * turning)
+    A = op.inverse_square_coeff
+    a2 = 2.0 + 2.0 * op.params.alpha
+    k2 = op.mode_strength**2
 
-    s_plus, s_minus = _indicial_exponents(op)
-    both_admissible = s_minus.real > -0.5  # limit circle at 0
+    def p(t):
+        """x^2 (V + eig) at x = e^t; x q = sqrt(p)."""
+        return k2 * np.exp(a2 * t) + A + eig * np.exp(2.0 * t)
 
-    y_plus = series_start(op, eig, x0)
-    if both_admissible:
-        # Every solution is admissible at 0, and the decay space at infinity
-        # is one-dimensional (limit point with nonreal spectral parameter),
-        # so the intersection has dimension 1 regardless of where the launch
-        # ends up.  Integrate only a launch stretch as a consistency check;
-        # the full march to x_max decides nothing here and its WKB phase is
-        # what dominates runtime.
-        _integrate_renormalized(op, eig, x0, min(2.0, x_max), y_plus)
-        return 1
-    samples_plus, _ = _integrate_renormalized(op, eig, x0, x_max, y_plus)
-    return 1 if _tracks_decay(op, eig, samples_plus) else 0
+    log_coupling = math.log(WINDOW_COUPLING)
+    t_top = 0.5 * log_coupling
+    if k2 > 0:
+        t_top = min(t_top, (log_coupling - math.log(k2)) / a2)
+    t_bottom = t_top - WINDOW_LENGTH
+    # Re sqrt(p) is nondecreasing in t and at least 0.6 e^t once e^{2t} >= 4|A|, so the WKB
+    # exponent gains START_EFOLDS e-folds before t_far, and a right Riemann sum finds the crossing
+    t_far = max(t_top, 0.5 * math.log(4.0 * max(abs(A), 1.0))) + 4.0
+    ts = np.linspace(t_top, t_far, 4096)
+    with np.errstate(over="ignore"):  # at large alpha, p overflows only past the crossing
+        efolds = np.cumsum(np.sqrt(p(ts)).real) * (ts[1] - ts[0])
+    t = float(ts[np.searchsorted(efolds, START_EFOLDS)])
+    # x u'/u = -x q - x q'/(2q), where x^3 V' = 2 alpha k^2 x^{2+2 alpha} - 2A
+    p0 = p(t)
+    y = np.array([1.0, -np.sqrt(p0) - (op.params.alpha * k2 * math.exp(a2 * t) - A) / (2.0 * p0)])
+
+    def rhs(t, y):  # (u, x u')' = (x u', x u' + p u) in t = ln x; math.exp is twice as fast as p(t)
+        pt = k2 * math.exp(a2 * t) + A + eig * math.exp(2.0 * t)
+        return np.array([y[1], y[1] + pt * y[0]])
+
+    # The fit reads the state norm (|u|^2 + |x u'|^2 / (|nu^2| + 1/4))^{1/2}, which grows like |u|
+    # on the window but has no zeros: at complex exponents 1/2 +- i|nu| a nearly real u dips
+    # toward 0 twice a period, and log|u| would leave the harmonic fit a residual near 1/2.
+    nu2 = op.nu_squared
+
+    def log_norm(state):
+        return 0.5 * np.log(np.abs(state[0]) ** 2 + np.abs(state[1]) ** 2 / (abs(nu2) + 0.25))
+
+    window = np.linspace(t_top, t_bottom, WINDOW_POINTS)
+    samples = []
+    log_scale = 0.0
+    while t > t_bottom:
+        # log|u| grows by at most Re sqrt(p) + 1 per unit of t, which is largest at the upper end
+        t_next = max(t_bottom, t - SEGMENT_EFOLDS / (np.sqrt(p(t)).real + 1.0))
+        inside = window[(window <= t) & (window > t_next)]
+        # inward, |u| can also fall like x^{1/2}, by up to SEGMENT_EFOLDS/2 e-folds; atol lies below
+        sol = solve_ivp(rhs, (t, t_next), y, method="DOP853", rtol=1e-6, atol=1e-30,
+                        t_eval=np.append(inside, t_next))
+        if not sol.success:
+            raise RuntimeError(f"integration failed on [{t_next}, {t}]: {sol.message}")
+        samples.extend(log_norm(sol.y[:, :-1]) + log_scale)
+        scale = np.abs(sol.y[:, -1]).max()
+        y = sol.y[:, -1] / scale
+        log_scale += math.log(scale)
+        t = t_next
+    samples.append(log_norm(y) + log_scale)  # t_bottom, the window's last point
+    gamma, residual = fit_local_exponent(window, np.array(samples),
+                                         2.0 * math.sqrt(-nu2) if nu2 < 0 else 0.0)
+    return int(square_integrable_at_zero(gamma, residual))
 
 
 @dataclass(frozen=True)

@@ -244,6 +244,26 @@ def test_curvature_cli(tmp_path, capsys):
     assert payload["asymptotic_check"]["relative_error"] < 0.01
 
 
+
+def test_curvature_cli_two_term_factor(tmp_path, capsys):
+    # an x and an x^2 term together: both remainder powers must be fitted to meet the 1% bound
+    metric = {
+        "conformal_factor": {
+            "terms": [
+                {"x_power": 0, "mode": 0, "cos": 1.0},
+                {"x_power": 1, "mode": 1, "cos": 0.25},
+                {"x_power": 2, "mode": 1, "sin": -0.3},
+            ]
+        }
+    }
+    mfile = tmp_path / "metric.json"
+    mfile.write_text(json.dumps(metric))
+    code, out, _ = run_cli(
+        ["curvature", "--alpha", "1", "--n", "2", "--metric", str(mfile)], capsys
+    )
+    assert code == 0
+    assert json.loads(out)["asymptotic_check"]["relative_error"] < 1e-4
+
 def test_usage_exit_codes(capsys):
     assert main(["classify", "--alpha", "bad:grid", "--n", "1", "--c", "0"]) == 2
     assert main(["nonsense"]) == 2
@@ -287,6 +307,21 @@ def test_exit_code_table(monkeypatch, capsys, error, code):
     monkeypatch.setattr(cli, "cmd_indexset", raising)
     assert main(["indexset", "Empty"]) == code
 
+
+
+def test_deficiency_limit_point_cli():
+    # mu = 9 > 4: limit point at 0, so every mode counts 0 (cold run, well under 2 s)
+    proc = subprocess.run(
+        [sys.executable, "-m", "grushin.cli", "deficiency", "--alpha", "2", "--n", "1", "--c", "0",
+         "--kmax", "8"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert [(m["count_plus"], m["count_minus"]) for m in payload["per_mode"]] == [(0, 0)] * 8
+    assert payload["aggregate"] == "zero"
 
 def test_light_subcommands_do_not_import_scipy(tmp_path):
     # only bessel and deficiency need scipy; the other subcommands must not pay its import

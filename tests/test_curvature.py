@@ -201,3 +201,45 @@ def test_asymptotic_check_perturbed():
     rep = asymptotic_check(metric, np.geomspace(0.02, 0.4, 8), y=np.array([0.8]))
     assert rep.limit == pytest.approx(-1.5, rel=0.01)
     assert rep.remainder_exponent > 0.5
+
+
+CLI_GRID = np.linspace(0.02, 0.37, 8)  # the default --x-grid 0.02:0.4:0.05
+
+
+def _two_term_factor(a, m, b, l):
+    """f = 1 + a x cos(m y) + b x^2 sin(l y), with its analytic derivatives."""
+    return ConformalFactor(
+        f=lambda x, y: 1.0 + a * x * math.cos(m * y[0]) + b * x * x * math.sin(l * y[0]),
+        df_dx=lambda x, y: a * math.cos(m * y[0]) + 2.0 * b * x * math.sin(l * y[0]),
+        grad_y=lambda x, y: np.array(
+            [-a * m * x * math.sin(m * y[0]) + b * l * x * x * math.cos(l * y[0])]
+            + [0.0] * (len(y) - 1)
+        ),
+    )
+
+
+def test_asymptotic_check_two_term_factors():
+    # a single remainder power cannot fit an x and an x^2 term at once; the
+    # fit over the predicted powers must
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for _ in range(60):
+        alpha = rng.uniform(0.25, 1.5)
+        a, b = rng.uniform(-0.5, 0.5, size=2)
+        m, l = rng.integers(0, 3, size=2)
+        factor = _two_term_factor(a, int(m), b, int(l))
+        for n in (1, 2):
+            rep = asymptotic_check(factor.metric(alpha, n), CLI_GRID, y=np.full(n, 0.8))
+            worst = max(worst, rep.relative_error)
+    assert worst < 3e-3
+
+
+@pytest.mark.parametrize("alpha", [-0.99, -0.95, -0.9])
+def test_asymptotic_check_near_alpha_minus_one(alpha):
+    # x^{2+2 alpha} -> x^0: the slice powers crowd 0, 1, 2 and are dropped
+    # rather than fitted as near-collinear columns
+    factor = _two_term_factor(0.3, 1, 0.2, 2)
+    for n in (1, 2):
+        rep = asymptotic_check(factor.metric(alpha, n), CLI_GRID, y=np.full(n, 0.8))
+        assert rep.relative_error < 0.01, (alpha, n, rep.limit, rep.expected)
+        assert rep.remainder_exponent == pytest.approx(1.0)

@@ -1,17 +1,17 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grushin import deficiency
 from grushin.params import GrushinParams, Verdict, classify, discriminant
 from grushin.deficiency import (
     UnsupportedConfigurationError,
     aggregate_deficiency,
     classify_endpoint_zero,
+    fit_local_exponent,
     mode_operator,
     numeric_deficiency_count,
-    series_start,
+    square_integrable_at_zero,
 )
 
 
@@ -69,30 +69,6 @@ def test_classifier_agreement(alpha, n, c):
     assert lc == not_esa
 
 
-def test_frobenius_start_is_accurate():
-    # the truncated series start must satisfy the ODE residual locally
-    cases = [
-        # (alpha, n, c, k, eig)
-        (0.5, 1, 0.0, 1.0, -1j),
-        (1.0, 1, 1.0, 1.0, -1j),  # mu < 0: complex exponents
-        (0.5, 2, 0.0, 1.0, -1j),
-        (0.5, 1, 0.0, 3.0, -1j),
-        (0.5, 1, 0.0, 1.0, 1j),
-    ]
-    # at x0 = 0.1 the couplings k^2 x^{2 alpha} and eig are visible above the tolerance
-    for (alpha, n, c, k, eig), x0 in itertools.product(cases, (1e-3, 1e-1)):
-        h = 1e-5 * x0
-        op = mode_operator(GrushinParams(alpha, n, c), k)
-        u, du = series_start(op, eig, x0)
-        um, _ = series_start(op, eig, x0 - h)
-        up, _ = series_start(op, eig, x0 + h)
-        ddu = (up - 2 * u + um) / h**2
-        V = complex(op.potential(x0)) + eig
-        assert abs(ddu - V * u) <= 1e-4 * max(1.0, abs(V * u)), (alpha, n, c, k, eig, x0)
-        # central difference of the series matches its reported derivative
-        assert abs((up - um) / (2 * h) - du) <= 1e-8 * abs(du), (alpha, n, c, k, eig, x0)
-
-
 def test_shooting_limit_circle_counts_one():
     op = mode_operator(GrushinParams(0.5, 1, 0.0), 1.0)
     assert numeric_deficiency_count(op, +1) == 1
@@ -135,10 +111,8 @@ def test_counts_independent_of_mode_strength():
     p = GrushinParams(0.5, 1, 0.0)
     counts = {numeric_deficiency_count(mode_operator(p, k), +1) for k in range(1, 9)}
     assert counts == {1}
-    # limit-point side: x_max trimmed (WKB rate >= 1 everywhere for eig = -+i,
-    # so tracking is decided well before the default X)
     p = GrushinParams(2.0, 1, 0.0)
-    counts = {numeric_deficiency_count(mode_operator(p, k), +1, x_max=6.0) for k in range(1, 9)}
+    counts = {numeric_deficiency_count(mode_operator(p, k), +1) for k in range(1, 9)}
     assert counts == {0}
 
 
@@ -158,3 +132,73 @@ def test_shooting_predicate_agreement_random():
         count = numeric_deficiency_count(op, +1)
         expected = 1 if classify_endpoint_zero(op).kind == "limit_circle" else 0
         assert count == expected, (alpha, n, c, k, mu)
+
+
+WINDOW = np.linspace(-30.0, -10.0, 201)  # t = ln x
+
+
+def _fit_count(log_abs, frequency=0.0):
+    return int(square_integrable_at_zero(*fit_local_exponent(WINDOW, log_abs, frequency)))
+
+
+def test_exponent_fit_can_disagree():
+    # synthetic profiles with known exponents on both sides of -1/2
+    assert _fit_count(-0.8 * WINDOW) == 0
+    assert _fit_count(-0.2 * WINDOW) == 1
+    nu = 0.7  # |u| = x^{1/2} (2 + cos(2 nu ln x)), the shape at complex exponents
+    oscillating = 0.5 * WINDOW + np.log(2.0 + np.cos(2 * nu * WINDOW))
+    gamma, _ = fit_local_exponent(WINDOW, oscillating, 2 * nu)
+    assert gamma == pytest.approx(0.5, abs=0.05)
+    assert _fit_count(oscillating, 2 * nu) == 1
+
+
+@pytest.mark.parametrize(
+    "alpha,n,c,k,gamma",
+    [
+        (0.5, 1, 0.0, 1.0, -0.25),  # limit circle: 1/2 - nu
+        (2.0, 1, 0.0, 8.0, -1.0),  # limit point
+        (1.0, 1, 1.0 / 3.0, 8.0, 0.5),  # complex exponents 1/2 +- i|nu|
+        (1.0, 1, 1.0, 32.0, 0.5),
+        # the window sits at x ~ e^{-70}; inward |u| falls like x^{1/2} over a
+        # long stretch, so the solver must control the error relative to |u|
+        (-0.85, 3, 1.8, 4.0, 0.5),
+    ],
+)
+def test_oracle_fits_the_local_exponent(monkeypatch, alpha, n, c, k, gamma):
+    # the fitted exponent of the decaying solution, not only the count; at
+    # large k the solution is nearly real and |u| dips toward 0, which the
+    # fitted state norm and the harmonic columns must absorb
+    fits = []
+
+    def spy(*args):
+        fits.append(fit_local_exponent(*args))
+        return fits[-1]
+
+    monkeypatch.setattr(deficiency, "fit_local_exponent", spy)
+    numeric_deficiency_count(mode_operator(GrushinParams(alpha, n, c), k), +1)
+    (fitted, residual), = fits
+    assert fitted == pytest.approx(gamma, abs=1e-3)
+    assert residual < 0.1
+
+
+def test_critical_exponent_is_not_square_integrable():
+    # x^{-1/2} is not L^2: the critical point mu = 4 counts 0, whatever k is
+    assert _fit_count(-0.5 * WINDOW) == 0
+    for k in (1.0, 8.0):
+        op = mode_operator(GrushinParams(1.0, 1, 0.0), k)
+        assert op.nu_squared == 1.0
+        assert numeric_deficiency_count(op, +1) == 0
+    # just inside mu < 4, and nu^2 = 0 where u ~ x^{1/2} ln x
+    op = mode_operator(GrushinParams(1.0, 1, 0.0025), 1.0)
+    assert op.nu_squared == pytest.approx(0.99)
+    assert numeric_deficiency_count(op, +1) == 1
+    op = mode_operator(GrushinParams(-0.5, 2, 0.0), 1.0)
+    assert op.nu_squared == 0.0
+    assert numeric_deficiency_count(op, +1) == 1
+
+
+@pytest.mark.parametrize("alpha,k", [(-0.9, 32.0), (-0.99, 8.0)])
+def test_counts_near_alpha_minus_one_and_large_k(alpha, k):
+    # the fit window moves down to x ~ e^{-1150} at alpha = -0.99
+    op = mode_operator(GrushinParams(alpha, 2, 0.0), k)
+    assert numeric_deficiency_count(op, +1) == 1

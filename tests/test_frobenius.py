@@ -7,6 +7,7 @@ import pytest
 from grushin.params import GrushinParams, indicial_data
 from grushin.frobenius import (
     CertificateError,
+    OperatorSeriesData,
     expand,
     flat_model_series_data,
     mode_basis,
@@ -99,6 +100,52 @@ def test_expand_flat_minus_resonant_log_free():
     for m, ref in enumerate(oracle):
         assert got[4.0 * m] == pytest.approx(ref, rel=1e-10)
 
+
+
+def test_expand_two_grade_complex_blocks_solve_mode_ode():
+    # one Fourier mode with spectral parameter eig: the couplings -k^2 at grade
+    # 2 + 2 alpha and -eig at grade 2 make the plus-root series, times the gauge
+    # factor x^{-alpha n/2}, a solution of u'' = (k^2 x^{2 alpha} + A/x^2 + eig) u
+    cases = [
+        # (alpha, n, c, k, eig)
+        (0.5, 1, 0.0, 1.0, -1j),
+        (1.0, 1, 1.0, 1.0, -1j),  # mu < 0: complex exponents
+        (0.5, 2, 0.0, 1.0, -1j),
+        (0.5, 1, 0.0, 3.0, -1j),
+        (0.5, 1, 0.0, 1.0, 1j),
+    ]
+    for alpha, n, c, k, eig in cases:
+        params = GrushinParams(alpha, n, c)
+        data = OperatorSeriesData(
+            params=params,
+            K=0,
+            modes=((0,) * n,),
+            blocks={
+                2.0 * (1.0 + alpha): np.array([[-k * k]], dtype=complex),
+                2.0: np.array([[-eig]], dtype=complex),
+            },
+        )
+        series = expand(data, "plus", np.ones(1), 6.0)
+        shift = 0.5 * alpha * n
+
+        def u(x):
+            return x**-shift * complex(series.profiles(x)[0, 0])
+
+        def du(x):
+            prof = complex(series.profiles(x)[0, 0])
+            return x**-shift * (complex(series.derivative_profiles(x)[0, 0]) - shift * prof / x)
+
+        A = alpha * n * (alpha * n + 2.0) / 4.0 - c * alpha * n * (alpha * n + alpha + 2.0)
+        # at x0 = 0.1 the couplings k^2 x^{2 alpha} and eig are visible above the tolerance
+        for x0 in (1e-3, 1e-1):
+            h = 1e-5 * x0
+            ddu = (u(x0 + h) - 2 * u(x0) + u(x0 - h)) / h**2
+            V = k * k * x0 ** (2 * alpha) + A / x0**2 + eig
+            residual = abs(ddu - V * u(x0))
+            assert residual <= 1e-4 * max(1.0, abs(V * u(x0))), (alpha, n, c, k, eig, x0)
+            # central difference of the series matches its reported derivative
+            central = (u(x0 + h) - u(x0 - h)) / (2 * h)
+            assert abs(central - du(x0)) <= 1e-8 * abs(du(x0)), (alpha, n, c, k, eig, x0)
 
 def test_expand_zero_coupling_single_term():
     params = GrushinParams(0.7, 1, 0.3)

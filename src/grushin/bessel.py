@@ -28,6 +28,17 @@ max(10, 2 nu), asymptotics beyond" leaves Ktilde with ~1e-8 error for small
 nu around x ~ 10, which the quadrature route avoids.  Validated against an
 independent multiprecision oracle to < 3e-11 relative over x in [1e-4, 60],
 nu in [0, 10.5] (see tests).
+
+``bessel_I``, ``bessel_K``, their tilde forms and ``KernelSolutionPair.u``,
+``du`` and ``ddu`` take a float or an array of points.  An array goes
+through the same code as a float and equals the scalar calls point by point,
+bit for bit: scipy's real-order functions broadcast, the ascending series
+sums each term over all of its points at once, and powers and logarithms
+use the C library's ``pow`` and ``log`` (numpy's vectorized ones can round
+differently in the last bit).  Only the points on the quadrature and
+asymptotic routes are evaluated one at a time.  So the membership oracle
+costs one array evaluation of ``u`` for its infinity probe and one for all
+of its windows.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
 import scipy.special as sp
@@ -57,30 +68,78 @@ __all__ = [
     "critical_delta",
 ]
 
+Points = Union[float, np.ndarray]  # a float gives a float, an array an array of the same shape
+
 _ASYMPT_X = 400.0  # beyond this the large-argument expansions are exact to machine precision
+_SERIES_TERMS = 800  # cap on the terms of one ascending series
+_LOG_FACTORIAL = sp.gammaln(np.arange(_SERIES_TERMS) + 1.0)  # ln m!
 
 
-def _check_positive_x(x: float) -> float:
-    x = float(x)
+def _checked(x: Points) -> Points:
+    """x as a float, or a NumPy array as a float array, with every point > 0."""
+    if type(x) is not float:
+        if isinstance(x, np.ndarray) and x.ndim:
+            x = x.astype(float, copy=False)
+            if not np.all(x > 0.0):
+                raise ValueError(f"argument must be > 0, got {x[~(x > 0.0)].flat[0]}")
+            return x
+        x = float(x)
     if not x > 0.0:
         raise ValueError(f"argument must be > 0, got {x}")
     return x
+
+
+def _power(x: Points):
+    """The power function for x as ``_checked`` returns it; both call the C library's pow.
+
+    ``np.float_power`` calls it point by point for an array.  numpy's
+    vectorized power can round differently in the last bit, and an array
+    evaluation must equal the scalar one point by point.
+    """
+    return pow if type(x) is float else np.float_power
+
+
+def _log(x: Points) -> Points:
+    """ln x by the C library's log for a float and an array alike.
+
+    scipy's ``xlogy(1, x)`` calls it point by point; numpy's vectorized log
+    can round differently in the last bit (as its power can, see ``_power``).
+    """
+    return sp.xlogy(1.0, x) if isinstance(x, np.ndarray) else math.log(x)
+
+
+def _value(v):
+    """A float for a scalar evaluation (NumPy's float64 is a float), the array itself otherwise."""
+    return float(v) if isinstance(v, float) else v
 
 
 # ---------------------------------------------------------------------------
 # complex-order core
 
 
-def _iv_series(mu: complex, x: float, max_terms: int = 800) -> complex:
-    """Ascending series sum_m (x/2)^{2m+mu} / (m! Gamma(mu+m+1)) via log-gamma."""
-    half_log = math.log(x / 2.0)
-    out = 0.0 + 0.0j
-    for m in range(max_terms):
-        term = np.exp((2 * m + mu) * half_log - sp.gammaln(m + 1) - sp.loggamma(mu + m + 1))
-        out += term
-        if m > 3 and abs(term) < 1e-25 * abs(out):
-            break
-    return complex(out)
+def _iv_series(mu: complex, x: Points):
+    """Ascending series sum_m (x/2)^{2m+mu} / (m! Gamma(mu+m+1)) via log-gamma, at x.
+
+    Each term is computed for all points of x at once, and its log-gamma
+    factors, which do not depend on x, once.  A point stops summing at its
+    own first m > 3 whose term is below 1e-25 of its running sum, so its
+    value does not depend on the other points; the loop ends when every
+    point has stopped.
+    """
+    half_log = _log(x / 2.0)
+    out = 0j
+    live = True
+    for m in range(_SERIES_TERMS):
+        term = np.exp((2 * m + mu) * half_log - _LOG_FACTORIAL[m] - sp.loggamma(mu + m + 1))
+        out = out + term * live
+        if m > 3:
+            small = abs(term) < 1e-25 * abs(out)
+            if small.ndim:  # an array: freeze the points that stopped
+                live = live & ~small
+                small = not live.any()
+            if small:
+                break
+    return out
 
 
 def _asympt_coeffs(mu: complex, x: float, signs: bool, kmax: int = 40) -> complex:
@@ -95,23 +154,37 @@ def _asympt_coeffs(mu: complex, x: float, signs: bool, kmax: int = 40) -> comple
     best = abs(term)
     for k in range(1, kmax):
         term = term * (four_mu2 - (2 * k - 1) ** 2) / (k * 8.0 * x)
-        if signs:
-            contrib = term if k % 2 == 0 else -term
-        else:
-            contrib = term
-        if abs(term) > best:
+        size = abs(term)
+        if size > best:
             break  # divergent tail reached
-        best = abs(term)
-        total += contrib
-        if abs(term) < 1e-20:
+        best = size
+        total += -term if signs and k % 2 else term
+        if size < 1e-20:
             break
     return total
 
 
-def _iv_complex(mu: complex, x: float) -> complex:
-    if x >= _ASYMPT_X:
-        return math.exp(x) / math.sqrt(2.0 * math.pi * x) * _asympt_coeffs(mu, x, signs=True)
-    return _iv_series(mu, x)
+def _by_route(mu: complex, x: Points, on_series, series, pointwise):
+    """Values at x: ``series(mu, .)`` where ``on_series`` holds, ``pointwise(mu, .)`` elsewhere.
+
+    A float takes one route.  An array goes through ``series`` once for all
+    of its series points, and through ``pointwise`` one point at a time.
+    """
+    if not isinstance(x, np.ndarray):
+        return series(mu, x) if on_series else pointwise(mu, x)
+    out = np.empty(x.shape, dtype=complex)
+    out[~on_series] = [pointwise(mu, v) for v in x[~on_series].tolist()]
+    if on_series.any():
+        out[on_series] = series(mu, x[on_series])
+    return out
+
+
+def _iv_asymptotic(mu: complex, x: float) -> complex:
+    return math.exp(x) / math.sqrt(2.0 * math.pi * x) * _asympt_coeffs(mu, x, signs=True)
+
+
+def _iv_complex(mu: complex, x: Points):
+    return _by_route(mu, x, x < _ASYMPT_X, _iv_series, _iv_asymptotic)
 
 
 def _kv_quad(mu: complex, x: float) -> complex:
@@ -141,58 +214,68 @@ def _kv_quad(mu: complex, x: float) -> complex:
     return (re + 1j * im) * math.exp(-x)
 
 
-def _kv_complex(mu: complex, x: float) -> complex:
-    nu = abs(mu.imag)
+def _kv_reflected(mu: complex, x: Points):
+    """K_mu = (pi/2)(I_{-mu} - I_mu)/sin(pi mu), at x."""
+    s = np.sin(np.pi * np.asarray(mu, dtype=complex))
+    if abs(s) < 1e-8:  # integer order limit (nu ~ 0)
+        return sp.kv(mu.real, x)
+    i_mu = _iv_series(mu, x)
+    # for imaginary mu, I_{-mu} = conj(I_mu) on x > 0, and the two series
+    # agree bit for bit (loggamma and exp commute with conjugation)
+    i_minus = np.conj(i_mu) if mu.real == 0.0 else _iv_series(-mu, x)
+    return np.pi / 2.0 * (i_minus - i_mu) / s
+
+
+def _kv_pointwise(mu: complex, x: float) -> complex:
     if x >= _ASYMPT_X:
         return math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) * _asympt_coeffs(mu, x, signs=False)
-    if 2.0 * x <= math.pi * nu:
-        # reflection K_mu = (pi/2)(I_{-mu} - I_mu)/sin(pi mu); safe from
-        # e^{2x} cancellation left of the 2x = pi nu line
-        s = np.sin(np.pi * np.asarray(mu, dtype=complex))
-        if abs(s) < 1e-8:  # integer order limit (nu ~ 0)
-            return complex(sp.kv(mu.real, x))
-        return complex(np.pi / 2.0 * (_iv_series(-mu, x) - _iv_series(mu, x)) / s)
     return _kv_quad(mu, x)
+
+
+def _kv_complex(mu: complex, x: Points):
+    # the reflection is safe from e^{2x} cancellation left of the 2x = pi nu line
+    on_series = (x < _ASYMPT_X) & (2.0 * x <= math.pi * abs(mu.imag))
+    return _by_route(mu, x, on_series, _kv_reflected, _kv_pointwise)
 
 
 # ---------------------------------------------------------------------------
 # public evaluators
 
 
-def bessel_I(x: float, nu: float) -> float:
+def bessel_I(x: Points, nu: float) -> Points:
     """Modified Bessel I of real order nu >= 0."""
-    x = _check_positive_x(x)
+    x = _checked(x)
     if nu < 0:
         raise ValueError(f"order must be >= 0, got {nu}")
-    return float(sp.iv(nu, x))
+    return _value(sp.iv(nu, x))
 
 
-def bessel_K(x: float, nu: float) -> float:
+def bessel_K(x: Points, nu: float) -> Points:
     """Modified Bessel K of real order nu >= 0."""
-    x = _check_positive_x(x)
+    x = _checked(x)
     if nu < 0:
         raise ValueError(f"order must be >= 0, got {nu}")
-    return float(sp.kv(nu, x))
+    return _value(sp.kv(nu, x))
 
 
-def bessel_I_tilde(x: float, nu: float) -> float:
+def bessel_I_tilde(x: Points, nu: float) -> Points:
     """Itilde(x, nu) = Re I_{i nu}(x)."""
-    x = _check_positive_x(x)
+    x = _checked(x)
     if nu < 0:
         raise ValueError(f"order must be >= 0, got {nu}")
     if nu == 0.0:
         return bessel_I(x, 0.0)
-    return _iv_complex(1j * nu, x).real
+    return _value(_iv_complex(1j * nu, x).real)
 
 
-def bessel_K_tilde(x: float, nu: float) -> float:
+def bessel_K_tilde(x: Points, nu: float) -> Points:
     """Ktilde(x, nu) = K_{i nu}(x) (real for real x > 0)."""
-    x = _check_positive_x(x)
+    x = _checked(x)
     if nu < 0:
         raise ValueError(f"order must be >= 0, got {nu}")
     if nu == 0.0:
         return bessel_K(x, 0.0)
-    return _kv_complex(1j * nu, x).real
+    return _value(_kv_complex(1j * nu, x).real)
 
 
 def bessel_I_scaled(x: float, nu: float, imaginary_order: bool = False) -> float:
@@ -200,7 +283,7 @@ def bessel_I_scaled(x: float, nu: float, imaginary_order: bool = False) -> float
 
     Use for x beyond ~700 where the unscaled value overflows.
     """
-    x = _check_positive_x(x)
+    x = _checked(x)
     if not imaginary_order:
         return float(sp.ive(nu, x))
     if x >= _ASYMPT_X:
@@ -210,7 +293,7 @@ def bessel_I_scaled(x: float, nu: float, imaginary_order: bool = False) -> float
 
 def bessel_K_scaled(x: float, nu: float, imaginary_order: bool = False) -> float:
     """e^{+x} K(x, nu); the suppressed exponent is exactly -x."""
-    x = _check_positive_x(x)
+    x = _checked(x)
     if not imaginary_order:
         return float(sp.kve(nu, x))
     if x >= _ASYMPT_X:
@@ -218,25 +301,24 @@ def bessel_K_scaled(x: float, nu: float, imaginary_order: bool = False) -> float
     return float(_kv_complex(1j * nu, x).real * math.exp(x))
 
 
-def _bessel_I_deriv(x: float, nu: float, imaginary_order: bool) -> float:
+def _bessel_I_deriv(x: Points, nu: float, imaginary_order: bool) -> Points:
     """d/dx of I(x, nu) resp. Itilde(x, nu), via the recurrence I' = I_{nu+1} + (nu/x) I_nu."""
     if not imaginary_order:
-        return float(sp.iv(nu + 1.0, x) + (nu / x) * sp.iv(nu, x))
-    mu = 1j * nu
-    val = _iv_complex(mu + 1.0, x) + (mu / x) * _iv_complex(mu, x)
-    return val.real
+        return sp.iv(nu + 1.0, x) + (nu / x) * sp.iv(nu, x)
+    # Re(I_{1+i nu} + (i nu/x) I_{i nu}), in real arithmetic
+    return _iv_complex(1.0 + 1j * nu, x).real - (nu / x) * _iv_complex(1j * nu, x).imag
 
 
-def _bessel_K_deriv(x: float, nu: float, imaginary_order: bool) -> float:
+def _bessel_K_deriv(x: Points, nu: float, imaginary_order: bool) -> Points:
     """d/dx of K(x, nu) resp. Ktilde(x, nu).
 
     For imaginary order, K'_{i nu}(x) = -Re K_{1 + i nu}(x) exactly, because
     K_{i nu - 1} = conj(K_{1 + i nu}) on the positive real axis.
     """
     if not imaginary_order:
-        return float(-(sp.kv(nu - 1.0, x) + sp.kv(nu + 1.0, x)) / 2.0)
+        return -(sp.kv(nu - 1.0, x) + sp.kv(nu + 1.0, x)) / 2.0
     if nu == 0.0:
-        return float(-sp.kv(1.0, x))
+        return -sp.kv(1.0, x)
     return -_kv_complex(1.0 + 1j * nu, x).real
 
 
@@ -300,7 +382,10 @@ def conjugate_by_weight(op: BesselModelOp, delta: float) -> BesselModelOp:
 
 @dataclass(frozen=True)
 class KernelSolutionPair:
-    """Closed-form kernel of T: u_i(x) = x^{(1-a)/2} Z_i(sqrt(h) x^beta / beta, nu)."""
+    """Closed-form kernel of T: u_i(x) = x^{(1-a)/2} Z_i(sqrt(h) x^beta / beta, nu).
+
+    ``u``, ``du`` and ``ddu`` take a float or an array of points.
+    """
 
     op: BesselModelOp
     order_kind: str  # "real" | "imaginary"
@@ -308,62 +393,62 @@ class KernelSolutionPair:
     exponent_prefix: float  # (1 - a)/2
     argument_scale: float  # sqrt(h)/beta
 
-    def _arg(self, x: float) -> float:
-        return self.argument_scale * x**self.op.beta
+    def _z(self, which: str, s: Points) -> Points:
+        """Z_i at the Bessel argument s."""
+        if self.order_kind == "real":
+            z = (sp.iv if which == "u1" else sp.kv)(self.nu, s)
+        else:
+            z = (_iv_complex if which == "u1" else _kv_complex)(1j * self.nu, s).real
+        return _value(z)
 
-    def _z(self, which: str, x: float) -> float:
-        s = self._arg(x)
-        imag = self.order_kind == "imaginary"
-        if which == "u1":
-            return bessel_I_tilde(s, self.nu) if imag else bessel_I(s, self.nu)
-        return bessel_K_tilde(s, self.nu) if imag else bessel_K(s, self.nu)
+    def _dz(self, which: str, s: Points) -> Points:
+        """Z_i' at the Bessel argument s."""
+        deriv = _bessel_I_deriv if which == "u1" else _bessel_K_deriv
+        return _value(deriv(s, self.nu, self.order_kind == "imaginary"))
 
-    def _dz(self, which: str, x: float) -> float:
-        s = self._arg(x)
-        imag = self.order_kind == "imaginary"
-        if which == "u1":
-            return _bessel_I_deriv(s, self.nu, imag)
-        return _bessel_K_deriv(s, self.nu, imag)
+    def u(self, which: str, x: Points) -> Points:
+        x = _checked(x)
+        pw = _power(x)
+        s = _checked(self.argument_scale * pw(x, self.op.beta))  # x^beta can underflow
+        return pw(x, self.exponent_prefix) * self._z(which, s)
 
-    def u(self, which: str, x: float) -> float:
-        x = _check_positive_x(x)
-        p = self.exponent_prefix
-        return x**p * self._z(which, x)
-
-    def du(self, which: str, x: float) -> float:
+    def du(self, which: str, x: Points) -> Points:
         """First derivative, via the Bessel recurrences (no finite differences)."""
-        x = _check_positive_x(x)
+        x = _checked(x)
+        pw = _power(x)
         p = self.exponent_prefix
-        ds = self.op.beta * self.argument_scale * x ** (self.op.beta - 1.0)
-        return p * x ** (p - 1.0) * self._z(which, x) + x**p * self._dz(which, x) * ds
+        s = _checked(self.argument_scale * pw(x, self.op.beta))  # x^beta can underflow
+        ds = self.op.beta * self.argument_scale * pw(x, self.op.beta - 1.0)
+        return p * pw(x, p - 1.0) * self._z(which, s) + pw(x, p) * self._dz(which, s) * ds
 
-    def ddu(self, which: str, x: float) -> float:
+    def ddu(self, which: str, x: Points) -> Points:
         """Second derivative, using the modified Bessel ODE for Z''.
 
         Z'' is eliminated through s^2 Z'' + s Z' - (s^2 + nu_eff^2) Z = 0 with
         nu_eff^2 = +-nu^2 (negative for imaginary order), so no further
         special-function evaluations are needed.
         """
-        x = _check_positive_x(x)
+        x = _checked(x)
+        pw = _power(x)
         p = self.exponent_prefix
         beta = self.op.beta
-        s = self._arg(x)
-        z = self._z(which, x)
-        dz = self._dz(which, x)
+        s = _checked(self.argument_scale * pw(x, beta))  # x^beta can underflow
+        z = self._z(which, s)
+        dz = self._dz(which, s)
         nu_eff2 = -self.nu**2 if self.order_kind == "imaginary" else self.nu**2
         ddz = ((s * s + nu_eff2) * z - s * dz) / (s * s)
-        ds = beta * self.argument_scale * x ** (beta - 1.0)
-        dds = beta * (beta - 1.0) * self.argument_scale * x ** (beta - 2.0)
+        ds = beta * self.argument_scale * pw(x, beta - 1.0)
+        dds = beta * (beta - 1.0) * self.argument_scale * pw(x, beta - 2.0)
         return (
-            p * (p - 1.0) * x ** (p - 2.0) * z
-            + 2.0 * p * x ** (p - 1.0) * dz * ds
-            + x**p * (ddz * ds * ds + dz * dds)
+            p * (p - 1.0) * pw(x, p - 2.0) * z
+            + 2.0 * p * pw(x, p - 1.0) * dz * ds
+            + pw(x, p) * (ddz * ds * ds + dz * dds)
         )
 
-    def u1(self, x: float) -> float:
+    def u1(self, x: Points) -> Points:
         return self.u("u1", x)
 
-    def u2(self, x: float) -> float:
+    def u2(self, x: Points) -> Points:
         return self.u("u2", x)
 
     def residual(self, which: str, x: float) -> float:
@@ -431,12 +516,22 @@ def weighted_L2_membership_oracle(
 ) -> str:
     """Brute-force square-integrability of x^{-delta} u_i near 0 and at infinity.
 
-    Integrates |x^{-delta} u|^2 over dyadic windows toward 0 and fits the
+    Integrates |x^{-delta} u|^2 over geometric windows toward 0 and fits the
     decay exponent of the window sums; near-zero integrability holds iff the
     fitted local exponent of |u| minus delta exceeds -1/2.  Growth at
-    infinity is probed the same way on doubling windows (the I-branch fails
-    there).  Returns "true" / "false" / "inconclusive" (within
-    ``borderline_tol`` of the -1/2 threshold); never a wrong boolean.
+    infinity is probed at two points deep in the exponential regime (the
+    I-branch fails there).  Returns "true" / "false" / "inconclusive": the
+    last when the fitted exponent is within ``borderline_tol`` of -1/2, or
+    when the windows cannot cover the oscillation period.  The fitted
+    exponent can be off by a few hundredths, so a boolean is reliable only
+    for weights well away from the threshold (0.25 and more in the tests).
+
+    The probe is one array evaluation of ``u`` and all windows are another,
+    a (windows x 48) grid of x.  Only grid points right of the 2s = pi nu
+    line of the Bessel argument s (imaginary order) run the quadrature,
+    point by point.  The windows stop where x or s would leave the normal
+    floats, and an oscillation that needs more than 130 windows (nu below
+    about 0.05) is "inconclusive".
     """
     if which not in ("u1", "u2"):
         raise ValueError(f"which must be u1 or u2, got {which}")
@@ -446,10 +541,9 @@ def weighted_L2_membership_oracle(
     # deep in the exponential regime (Bessel argument 2 vs 60); at contrast
     # e^{58} the exponential beats any polynomial factor x^{(1-a)/2 - delta}
     # the weight contributes, so the comparison is decisive.
-    x_mod = (2.0 / pair.argument_scale) ** (1.0 / op.beta)
-    x_deep = (60.0 / pair.argument_scale) ** (1.0 / op.beta)
-    val_mod = abs(pair.u(which, x_mod)) * x_mod ** (-op.delta)
-    val_deep = abs(pair.u(which, x_deep)) * x_deep ** (-op.delta)
+    x_probe = np.array([(2.0 / pair.argument_scale) ** (1.0 / op.beta),
+                        (60.0 / pair.argument_scale) ** (1.0 / op.beta)])
+    val_mod, val_deep = np.abs(pair.u(which, x_probe)) * np.float_power(x_probe, -op.delta)
     if val_deep > val_mod:
         return "false"
 
@@ -459,7 +553,7 @@ def weighted_L2_membership_oracle(
     # explicitly; a plain slope fit on a fraction of a period is biased.
     oscillatory = op.mu_op < 0.0 and op.nu > 0.0
     ln_rho = math.log(2.0)
-    period_lnx = math.inf
+    need_lnx = 0.0  # depth in ln x the fitted windows must cover
     if oscillatory:
         # window ratio chosen so the per-window phase step 2 nu ln(rho) stays
         # away from multiples of pi (aliasing would collapse the harmonic
@@ -474,25 +568,36 @@ def weighted_L2_membership_oracle(
         depth_needed = max(1.15 * period_lnx, 4.5)
         n_windows = int(math.ceil(depth_needed / ln_rho)) + 8
         if n_windows > 130:
-            return "inconclusive"  # oscillation too slow to resolve before underflow
-    rho = math.exp(ln_rho)
-    sums = []
-    mids = []
-    for j in range(n_windows):
-        hi = x_hi * rho**-j
-        lo = hi / rho
-        xs = np.geomspace(lo, hi, 48)
-        ys = np.array([pair.u(which, float(x)) for x in xs]) * xs ** (-op.delta)
-        w = float(np.trapezoid(np.abs(ys) ** 2, xs))
-        if not math.isfinite(w) or w <= 1e-300:
-            break  # under/overflow floor reached; use what we have
-        sums.append(w)
-        mids.append(math.sqrt(lo * hi))
-    sums = np.array(sums)
-    mids = np.array(mids)
+            # deeper fits wait for harmonics at the true frequency 2 nu beta of
+            # |u|^2 (at beta < 1 its period can outlast the range above
+            # underflow), so nu below about 0.05 stays undecided
+            return "inconclusive"
+        need_lnx = max(1.02 * period_lnx, 3.5)
+    # the deepest window keeps x, x^beta and the Bessel argument normal floats
+    ln_tiny = math.log(np.finfo(float).tiny)
+    ln_x_min = max(ln_tiny, (ln_tiny - min(0.0, math.log(pair.argument_scale))) / op.beta)
+    n_windows = min(n_windows, int((math.log(x_hi) - ln_x_min) / ln_rho))
     skip = 3
-    covered = (len(sums) - skip) * ln_rho
-    if len(sums) < skip + 8 or (oscillatory and covered < max(1.02 * period_lnx, 3.5)):
+
+    def resolved(count: int) -> bool:
+        return count >= skip + 8 and (count - skip) * ln_rho >= need_lnx
+
+    if not resolved(n_windows):
+        return "inconclusive"  # too few windows above the underflow floor
+    rho = math.exp(ln_rho)
+    hi = x_hi * np.float_power(rho, -np.arange(n_windows))
+    lo = hi / rho
+    # rows contiguous, so each window's trapezoid sum adds in the order of a 1-D one
+    xs = np.ascontiguousarray(np.geomspace(lo, hi, 48, axis=1))
+    with np.errstate(all="ignore"):  # windows past the under/overflow floor are cut below
+        ys = pair.u(which, xs) * xs ** (-op.delta)
+        w = np.trapezoid(np.abs(ys) ** 2, xs, axis=1)
+    # keep the windows before the first under/overflowed one
+    bad = ~np.isfinite(w) | (w <= 1e-300)
+    kept = int(bad.argmax()) if bad.any() else n_windows
+    sums = w[:kept]
+    mids = np.sqrt(lo * hi)[:kept]
+    if not resolved(kept):
         return "inconclusive"
 
     lm = np.log(mids[skip:])

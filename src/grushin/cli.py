@@ -12,6 +12,7 @@ failed, 2 usage, 3 numerics did not converge or reached a numerical limit
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -433,7 +434,14 @@ def cmd_bessel(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one.
+
+    Each subcommand names its ``cmd_*`` handler, which ``main`` looks up in
+    this module when it runs, so a replaced or wrapped handler is the one
+    called.
+    """
     parser = argparse.ArgumentParser(
         prog="grushin",
         description="Spectral toolkit for curvature Laplacians on alpha-Grushin manifolds",
@@ -446,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", required=True, help="value or start:stop:step")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(handler="cmd_classify")
 
     p = sub.add_parser("phase-diagram", help="(alpha, c) regime map with the critical curve")
     p.add_argument("--alpha", required=True)
@@ -454,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out-svg", required=True)
     p.add_argument("--out-csv", required=True)
-    p.set_defaults(func=cmd_phase_diagram)
+    p.set_defaults(handler="cmd_phase_diagram")
 
     p = sub.add_parser("deficiency", help="per-mode deficiency counts and aggregate verdict")
     p.add_argument("--alpha", type=float, required=True)
@@ -463,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=8)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_deficiency)
+    p.set_defaults(handler="cmd_deficiency")
 
     p = sub.add_parser("frobenius", help="boundary series expansion and residual certificate")
     p.add_argument("--alpha", type=float, required=True)
@@ -475,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-min", type=float, default=0.01)
     p.add_argument("--grid-points", type=int, default=12)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_frobenius)
+    p.set_defaults(handler="cmd_frobenius")
 
     p = sub.add_parser("extension", help="self-adjoint extension tools")
     esub = p.add_subparsers(dest="ext_command", required=True)
@@ -487,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--Gamma", help="Hermitian 2x2 as 'h11,h22,re12,im12'")
     pb.add_argument("--regime", choices=["mu_pos", "mu_neg"], default="mu_pos")
     pb.add_argument("--out")
-    pb.set_defaults(func=cmd_extension_build)
+    pb.set_defaults(handler="cmd_extension_build")
 
     pv = esub.add_parser("verify", help="isotropy and maximality checks on random jets")
     pv.add_argument("--spec", required=True)
@@ -498,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--kmax", type=int, default=3)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--out")
-    pv.set_defaults(func=cmd_extension_verify)
+    pv.set_defaults(handler="cmd_extension_verify")
 
     pg = esub.add_parser("greens-check", help="boundary-pairing quadrature cross-check")
     pg.add_argument("--alpha", type=float, required=True)
@@ -511,12 +519,12 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--eps-count", type=int, default=6)
     pg.add_argument("--seed", type=int, default=0)
     pg.add_argument("--out")
-    pg.set_defaults(func=cmd_extension_greens_check)
+    pg.set_defaults(handler="cmd_extension_greens_check")
 
     p = sub.add_parser("indexset", help="evaluate an index-set expression")
     p.add_argument("expression")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_indexset)
+    p.set_defaults(handler="cmd_indexset")
 
     p = sub.add_parser("curvature", help="scalar-curvature closed forms and asymptotics")
     p.add_argument("--alpha", type=float, required=True)
@@ -525,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-grid", default="0.02:0.4:0.05")
     p.add_argument("--y", type=float, default=0.8)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_curvature)
+    p.set_defaults(handler="cmd_curvature")
 
     p = sub.add_parser("bessel", help="modified Bessel evaluation")
     bsub = p.add_subparsers(dest="bessel_command", required=True)
@@ -535,19 +543,18 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--nu", type=float, required=True)
     pe.add_argument("--scaled", action="store_true")
     pe.add_argument("--out")
-    pe.set_defaults(func=cmd_bessel)
+    pe.set_defaults(handler="cmd_bessel")
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except (UsageError, ParseError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -346,3 +346,63 @@ def test_oracle_predicate_agreement_sample():
             continue
         checked += 1
         assert (verdict == "true") == has_kernel_in_weighted_L2(op), op
+
+
+@pytest.mark.parametrize(
+    "a,b,h,beta",
+    [
+        (0.3, -0.5, 2.0, 1.3),  # real order
+        (1.0, 0.0, 1.0, 0.7),  # mu_op = 0: real order nu = 0
+        (1.0, 4.0, 0.5, 0.8),  # imaginary order nu = 2.5
+        (-1.0, 9.0, 3.0, 1.6),  # imaginary order nu = 1.25
+    ],
+)
+def test_kernel_array_matches_scalar_calls(a, b, h, beta):
+    # u, u' and u'' on an x-array equal the scalar calls bit for bit.  The
+    # Bessel arguments s run from 1e-3 to 600, so at imaginary order they
+    # cover the series and reflected K left of the 2s = pi nu line, the
+    # quadrature right of it, and the asymptotic series from s = 400
+    pair = kernel_solutions(BesselModelOp(a=a, b=b, h=h, beta=beta))
+    line = math.pi * pair.nu / 2.0 or 1.0  # the 2s = pi nu line (any s at nu = 0)
+    s = np.concatenate([np.geomspace(1e-3, 600.0, 21), [0.9 * line, 1.1 * line, 401.0]])
+    xs = ((s / pair.argument_scale) ** (1.0 / beta)).reshape(6, 4)
+    s = pair.argument_scale * xs**beta
+    if pair.order_kind == "imaginary":
+        assert (s < line).any() and ((s > line) & (s < 400.0)).any() and (s >= 400.0).any()
+    for which in ("u1", "u2"):
+        for name in ("u", "du", "ddu"):
+            fn = getattr(pair, name)
+            got = fn(which, xs)
+            assert got.shape == xs.shape
+            want = np.array([fn(which, float(x)) for x in xs.ravel()]).reshape(xs.shape)
+            np.testing.assert_array_equal(got, want, err_msg=f"{which} {name}")
+
+
+def test_membership_oracle_evaluates_u_in_two_array_calls(monkeypatch):
+    # the infinity probe is one array call of u and every window is another
+    from grushin.bessel import KernelSolutionPair
+
+    calls = []
+    original = KernelSolutionPair.u
+
+    def counting(self, which, x):
+        calls.append(np.shape(x))
+        return original(self, which, x)
+
+    monkeypatch.setattr(KernelSolutionPair, "u", counting)
+    for op in (BesselModelOp(0.5, -1.0, 2.0, 1.2, delta=0.5), BesselModelOp(1.0, 1.0, 1.0, 1.0)):
+        calls.clear()
+        weighted_L2_membership_oracle(op, "u2")
+        assert len(calls) == 2 and calls[0] == (2,) and calls[1][1] == 48
+
+
+@pytest.mark.parametrize("b", [-0.5, 4.0])  # real and imaginary order
+def test_kernel_rejects_an_underflowed_bessel_argument(b):
+    # x^beta underflows to 0 at x = 1e-200, beta = 2: u, u' and u'' refuse
+    # the point, alone or in an array, instead of returning inf or nan
+    pair = kernel_solutions(BesselModelOp(a=1.0, b=b, h=1.0, beta=2.0))
+    for name in ("u", "du", "ddu"):
+        fn = getattr(pair, name)
+        for x in (1e-200, np.array([0.5, 1e-200])):
+            with pytest.raises(ValueError, match="must be > 0"):
+                fn("u2", x)

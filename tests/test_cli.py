@@ -309,6 +309,30 @@ def test_exit_code_table(monkeypatch, capsys, error, code):
 
 
 
+REUSE_SEQUENCE = [
+    ["bessel", "eval", "--kind", "Ktilde", "--x", "2.0", "--nu", "1.5", "--scaled"],
+    ["bessel", "eval", "--kind", "Ktilde", "--x", "2.0", "--nu", "1.5"],
+    ["classify", "--alpha", "0.5:1.5:0.5", "--n", "1", "--c", "0", "--format", "csv"],
+    ["classify", "--alpha", "0.5:1.5:0.5", "--n", "1", "--c", "0"],
+    ["bessel", "eval", "--kind", "Q", "--x", "1", "--nu", "1"],
+    ["indexset", "eu({(0,0)};{(1,1)})"],
+]
+
+
+def test_parser_reuse_matches_fresh_parsers(capsys):
+    # main() builds its parser once per process: consecutive calls with other
+    # subcommands and options, and a call after a usage error, must give the
+    # exit codes and bytes that a freshly built parser gives for each call
+    reused = [run_cli(argv, capsys) for argv in REUSE_SEQUENCE]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in REUSE_SEQUENCE:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(argv, capsys))
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 0]
+    assert reused == fresh
+
+
 def test_deficiency_limit_point_cli():
     # mu = 9 > 4: limit point at 0, so every mode counts 0 (cold run, well under 2 s)
     proc = subprocess.run(

@@ -14,14 +14,16 @@ indices are counted numerically, without that identity: the solution of
 (op -+ i) u = 0 that decays at infinity is integrated inward from a WKB
 start, and the exponent gamma of |u| ~ x^gamma is fitted near 0.  The count
 is 1 exactly when gamma > -1/2, so the oracle can disagree with the closed
-form in either regime.
+form in either regime.  One request makes one stacked integration: every
+mode and both signs share each solver step, each mode joining the stack at
+its own WKB start and leaving it after its own fit window.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +47,7 @@ __all__ = [
     "classify_endpoint_zero",
     "fit_local_exponent",
     "square_integrable_at_zero",
+    "deficiency_counts",
     "numeric_deficiency_count",
     "aggregate_deficiency",
 ]
@@ -130,28 +133,14 @@ def square_integrable_at_zero(gamma: float, residual: float) -> bool:
     return gamma > -0.5 + residual
 
 
-def numeric_deficiency_count(op: ModeOperator, sign: int) -> int:
-    """Dimension of {solutions of (op -+ i)u = 0, L2 at 0 and decaying at infinity}.
+def _launch(op: ModeOperator, eig: complex):
+    """The fit window of one mode, and the t and (u, x u') where its inward integration starts.
 
-    ``sign=+1`` counts ker(op* + i), ``sign=-1`` ker(op* - i); the two agree
-    for this real operator.  Infinity is limit point, so the decaying
-    solution is unique up to scale; the count is 1 exactly when it is L^2 at
-    0.  It is integrated inward, the stable direction, as (u, x u') in
-    t = ln x: the start is the second-order WKB log-derivative
-    -q - q'/(2q), q = sqrt(V + eig), at the X where the WKB exponent has
-    gained START_EFOLDS e-folds over the fit window.  The window lies where
-    the couplings k^2 x^{2+2 alpha} and |eig| x^2 are below WINDOW_COUPLING,
-    so the solution is a power of x there, and ``fit_local_exponent`` reads
-    that power.  Only the oscillation frequency 2|nu| comes from nu^2; no
-    indicial root is read.  Returns 0 or 1 per half-line.
+    The window lies where the couplings k^2 x^{2+2 alpha} and |eig| x^2 are below
+    WINDOW_COUPLING, so the solution is a power of x there.  The start is the
+    second-order WKB log-derivative -q - q'/(2q), q = sqrt(V + eig), at the X
+    where the WKB exponent has gained START_EFOLDS e-folds over the window.
     """
-    if not (op.mode_strength > 0 or op.params.alpha > 0):
-        raise UnsupportedConfigurationError(
-            "need mode_strength > 0 or alpha > 0 for limit point at infinity"
-        )
-    from scipy.integrate import solve_ivp  # deferred so the CLI starts without scipy
-
-    eig = -1j if sign > 0 else 1j  # (op +- i) u = 0  <=>  u'' = (V -+ i) u
     A = op.inverse_square_coeff
     a2 = 2.0 + 2.0 * op.params.alpha
     k2 = op.mode_strength**2
@@ -164,7 +153,6 @@ def numeric_deficiency_count(op: ModeOperator, sign: int) -> int:
     t_top = 0.5 * log_coupling
     if k2 > 0:
         t_top = min(t_top, (log_coupling - math.log(k2)) / a2)
-    t_bottom = t_top - WINDOW_LENGTH
     # Re sqrt(p) is nondecreasing in t and at least 0.6 e^t once e^{2t} >= 4|A|, so the WKB
     # exponent gains START_EFOLDS e-folds before t_far, and a right Riemann sum finds the crossing
     t_far = max(t_top, 0.5 * math.log(4.0 * max(abs(A), 1.0))) + 4.0
@@ -175,40 +163,110 @@ def numeric_deficiency_count(op: ModeOperator, sign: int) -> int:
     # x u'/u = -x q - x q'/(2q), where x^3 V' = 2 alpha k^2 x^{2+2 alpha} - 2A
     p0 = p(t)
     y = np.array([1.0, -np.sqrt(p0) - (op.params.alpha * k2 * math.exp(a2 * t) - A) / (2.0 * p0)])
+    return np.linspace(t_top, t_top - WINDOW_LENGTH, WINDOW_POINTS), t, y
 
-    def rhs(t, y):  # (u, x u')' = (x u', x u' + p u) in t = ln x; math.exp is twice as fast as p(t)
-        pt = k2 * math.exp(a2 * t) + A + eig * math.exp(2.0 * t)
-        return np.array([y[1], y[1] + pt * y[0]])
 
+def _rhs(t, y, k2, a2, A, eig):
+    """(u, x u')' = (x u', x u' + p u) in t = ln x for every stacked mode; y = (u..., x u'...)."""
+    n = k2.size
+    u, w = y[:n], y[n:]
+    return np.concatenate((w, w + (k2 * np.exp(a2 * t) + A + eig * math.exp(2.0 * t)) * u))
+
+
+def deficiency_counts(modes: Sequence[Tuple[ModeOperator, int]]) -> List[int]:
+    """Half-line deficiency count of each (op, sign) pair, from one stacked inward integration.
+
+    A count is the dimension of {solutions of (op -+ i)u = 0, L2 at 0 and
+    decaying at infinity}; ``sign=+1`` counts ker(op* + i), ``sign=-1``
+    ker(op* - i).  Infinity is limit point, so the decaying solution is unique
+    up to scale and the count is 1 exactly when it is L^2 at 0.  It is
+    integrated inward, the stable direction, as (u, x u') in t = ln x, and
+    ``fit_local_exponent`` reads its power of x on the fit window (``_launch``).
+    Only the frequency 2|nu| comes from nu^2; no indicial root is read.
+
+    The modes share one linear system and so each DOP853 step.  A mode joins
+    at its own start and leaves after its window's bottom: a segment ends at
+    the next join or leave, or after SEGMENT_EFOLDS e-folds of the
+    fastest-growing active mode, and every mode is renormalized by its own
+    scale at each segment end.
+    """
+    modes = list(modes)
+    for op, _ in modes:
+        if not (op.mode_strength > 0 or op.params.alpha > 0):
+            raise UnsupportedConfigurationError(
+                "need mode_strength > 0 or alpha > 0 for limit point at infinity"
+            )
+    from scipy.integrate import solve_ivp  # deferred so the CLI starts without scipy
+
+    eig = np.array([-1j if sign > 0 else 1j for _, sign in modes])  # (op +- i) u = 0 <=> u'' = (V -+ i) u
+    k2 = np.array([op.mode_strength**2 for op, _ in modes])
+    a2 = np.array([2.0 + 2.0 * op.params.alpha for op, _ in modes])
+    A = np.array([op.inverse_square_coeff for op, _ in modes])
+    nu2 = A + 0.25
+    launches = [_launch(op, e) for (op, _), e in zip(modes, eig)]
+    windows = np.array([window for window, _, _ in launches]).reshape(len(modes), WINDOW_POINTS)
+    bottoms = windows[:, -1]
     # The fit reads the state norm (|u|^2 + |x u'|^2 / (|nu^2| + 1/4))^{1/2}, which grows like |u|
     # on the window but has no zeros: at complex exponents 1/2 +- i|nu| a nearly real u dips
     # toward 0 twice a period, and log|u| would leave the harmonic fit a residual near 1/2.
-    nu2 = op.nu_squared
+    def log_norm(u, w, m):
+        return 0.5 * np.log(np.abs(u) ** 2 + np.abs(w) ** 2 / (abs(nu2[m]) + 0.25))
 
-    def log_norm(state):
-        return 0.5 * np.log(np.abs(state[0]) ** 2 + np.abs(state[1]) ** 2 / (abs(nu2) + 0.25))
-
-    window = np.linspace(t_top, t_bottom, WINDOW_POINTS)
-    samples = []
-    log_scale = 0.0
-    while t > t_bottom:
+    starts = [start for _, start, _ in launches]
+    pending = sorted(range(len(modes)), key=lambda m: -starts[m])  # in order of joining
+    active = np.zeros(0, dtype=int)
+    u = w = np.zeros(0, dtype=complex)
+    log_scale = np.zeros(len(modes))
+    log_abs = np.empty_like(windows)  # the fit's samples, one row per mode
+    t = math.inf
+    while pending or active.size:
+        while pending and starts[pending[0]] >= t:
+            m = pending.pop(0)
+            active = np.append(active, m)
+            u, w = np.append(u, launches[m][2][0]), np.append(w, launches[m][2][1])
+        if not active.size:  # nothing to integrate down to the next start
+            t = starts[pending[0]]
+            continue
         # log|u| grows by at most Re sqrt(p) + 1 per unit of t, which is largest at the upper end
-        t_next = max(t_bottom, t - SEGMENT_EFOLDS / (np.sqrt(p(t)).real + 1.0))
-        inside = window[(window <= t) & (window > t_next)]
+        p = k2[active] * np.exp(a2[active] * t) + A[active] + eig[active] * math.exp(2.0 * t)
+        t_next = max(bottoms[active].max(), t - SEGMENT_EFOLDS / (np.sqrt(p).real.max() + 1.0),
+                     starts[pending[0]] if pending else -math.inf)
+        inside = [np.flatnonzero((windows[m] <= t) & (windows[m] > t_next)) for m in active]
+        grid = np.unique(np.concatenate([windows[m, i] for m, i in zip(active, inside)]))  # ascending
         # inward, |u| can also fall like x^{1/2}, by up to SEGMENT_EFOLDS/2 e-folds; atol lies below
-        sol = solve_ivp(rhs, (t, t_next), y, method="DOP853", rtol=1e-6, atol=1e-30,
-                        t_eval=np.append(inside, t_next))
+        sol = solve_ivp(_rhs, (t, t_next), np.concatenate((u, w)), method="DOP853",
+                        rtol=1e-6, atol=1e-30, t_eval=np.append(grid[::-1], t_next),
+                        args=(k2[active], a2[active], A[active], eig[active]))
         if not sol.success:
             raise RuntimeError(f"integration failed on [{t_next}, {t}]: {sol.message}")
-        samples.extend(log_norm(sol.y[:, :-1]) + log_scale)
-        scale = np.abs(sol.y[:, -1]).max()
-        y = sol.y[:, -1] / scale
-        log_scale += math.log(scale)
+        n = active.size
+        for j, m in enumerate(active):
+            cols = grid.size - 1 - np.searchsorted(grid, windows[m, inside[j]])
+            log_abs[m, inside[j]] = log_norm(sol.y[j, cols], sol.y[n + j, cols], m) + log_scale[m]
+        u, w = sol.y[:n, -1], sol.y[n:, -1]
+        scale = np.maximum(np.abs(u), np.abs(w))
+        u, w = u / scale, w / scale
+        log_scale[active] += np.log(scale)
         t = t_next
-    samples.append(log_norm(y) + log_scale)  # t_bottom, the window's last point
-    gamma, residual = fit_local_exponent(window, np.array(samples),
-                                         2.0 * math.sqrt(-nu2) if nu2 < 0 else 0.0)
-    return int(square_integrable_at_zero(gamma, residual))
+        stay = bottoms[active] < t
+        for j, m in zip(np.flatnonzero(~stay), active[~stay]):  # t is the window's last point
+            log_abs[m, -1] = log_norm(u[j], w[j], m) + log_scale[m]
+        active, u, w = active[stay], u[stay], w[stay]
+    counts = []
+    for m, window in enumerate(windows):
+        gamma, residual = fit_local_exponent(window, log_abs[m],
+                                             2.0 * math.sqrt(-nu2[m]) if nu2[m] < 0 else 0.0)
+        counts.append(int(square_integrable_at_zero(gamma, residual)))
+    return counts
+
+
+def numeric_deficiency_count(op: ModeOperator, sign: int) -> int:
+    """Deficiency count of one mode and sign: the one-mode view of ``deficiency_counts``.
+
+    ``sign=+1`` counts ker(op* + i), ``sign=-1`` ker(op* - i); the two agree
+    for this real operator.  Returns 0 or 1 per half-line.
+    """
+    return deficiency_counts([(op, sign)])[0]
 
 
 @dataclass(frozen=True)
@@ -236,19 +294,18 @@ class DeficiencyReport:
 def aggregate_deficiency(params: GrushinParams, k_max: int) -> DeficiencyReport:
     """Per-mode deficiency table over k = 1..k_max and the aggregate verdict.
 
-    The left half-line operator is carried to the right one by x -> -x, so
-    each per-mode count is twice the single half-line count.  Aggregate is
-    "infinite" iff every sampled mode contributes and the endpoint is limit
-    circle (a mode-independent statement), else "zero".
+    Every mode and both signs are counted by one ``deficiency_counts`` call,
+    so they share one stacked inward integration.  The left half-line
+    operator is carried to the right one by x -> -x, so each per-mode count
+    is twice the single half-line count.  Aggregate is "infinite" iff every
+    sampled mode contributes and the endpoint is limit circle (a
+    mode-independent statement), else "zero".
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    rows: List[Tuple[int, int, int]] = []
-    for k in range(1, k_max + 1):
-        op = mode_operator(params, k)
-        n_plus = numeric_deficiency_count(op, +1)
-        n_minus = numeric_deficiency_count(op, -1)
-        rows.append((k, 2 * n_plus, 2 * n_minus))
+    ks = range(1, k_max + 1)
+    counts = deficiency_counts([(mode_operator(params, k), sign) for k in ks for sign in (+1, -1)])
+    rows = [(k, 2 * counts[2 * i], 2 * counts[2 * i + 1]) for i, k in enumerate(ks)]
     cls = classify_endpoint_zero(mode_operator(params, 1))
     infinite = cls.kind == "limit_circle" and all(cp > 0 and cm > 0 for _, cp, cm in rows)
     return DeficiencyReport(

@@ -6,8 +6,10 @@ from grushin import deficiency
 from grushin.params import GrushinParams, Verdict, classify, discriminant
 from grushin.deficiency import (
     UnsupportedConfigurationError,
+    START_EFOLDS,
     aggregate_deficiency,
     classify_endpoint_zero,
+    deficiency_counts,
     fit_local_exponent,
     mode_operator,
     numeric_deficiency_count,
@@ -109,11 +111,9 @@ def test_aggregate_deficiency(alpha, n, c, k_max, expected):
 def test_counts_independent_of_mode_strength():
     # the critical weight does not depend on h; counts match across k = 1..8
     p = GrushinParams(0.5, 1, 0.0)
-    counts = {numeric_deficiency_count(mode_operator(p, k), +1) for k in range(1, 9)}
-    assert counts == {1}
+    assert set(deficiency_counts([(mode_operator(p, k), +1) for k in range(1, 9)])) == {1}
     p = GrushinParams(2.0, 1, 0.0)
-    counts = {numeric_deficiency_count(mode_operator(p, k), +1) for k in range(1, 9)}
-    assert counts == {0}
+    assert set(deficiency_counts([(mode_operator(p, k), +1) for k in range(1, 9)])) == {0}
 
 
 def test_shooting_predicate_agreement_random():
@@ -152,6 +152,17 @@ def test_exponent_fit_can_disagree():
     assert _fit_count(oscillating, 2 * nu) == 1
 
 
+def _spy_on_fits(monkeypatch):
+    fits = []
+
+    def spy(*args):
+        fits.append((args, fit_local_exponent(*args)))
+        return fits[-1][1]
+
+    monkeypatch.setattr(deficiency, "fit_local_exponent", spy)
+    return fits
+
+
 @pytest.mark.parametrize(
     "alpha,n,c,k,gamma",
     [
@@ -168,15 +179,9 @@ def test_oracle_fits_the_local_exponent(monkeypatch, alpha, n, c, k, gamma):
     # the fitted exponent of the decaying solution, not only the count; at
     # large k the solution is nearly real and |u| dips toward 0, which the
     # fitted state norm and the harmonic columns must absorb
-    fits = []
-
-    def spy(*args):
-        fits.append(fit_local_exponent(*args))
-        return fits[-1]
-
-    monkeypatch.setattr(deficiency, "fit_local_exponent", spy)
+    fits = _spy_on_fits(monkeypatch)
     numeric_deficiency_count(mode_operator(GrushinParams(alpha, n, c), k), +1)
-    (fitted, residual), = fits
+    (_, (fitted, residual)), = fits
     assert fitted == pytest.approx(gamma, abs=1e-3)
     assert residual < 0.1
 
@@ -202,3 +207,63 @@ def test_counts_near_alpha_minus_one_and_large_k(alpha, k):
     # the fit window moves down to x ~ e^{-1150} at alpha = -0.99
     op = mode_operator(GrushinParams(alpha, 2, 0.0), k)
     assert numeric_deficiency_count(op, +1) == 1
+
+
+def test_wkb_start_is_the_decaying_solution(monkeypatch):
+    # alpha = 0, n = 1, c = 0: A = 0 and V = k^2, so WKB is exact and the decaying
+    # solution is e^{-kappa x}; from u(X) = 1 it gains exactly START_EFOLDS e-folds
+    # down to the window, where e^{-kappa x} ~ 1.  A start on the growing solution
+    # gains about half as many.
+    fits = _spy_on_fits(monkeypatch)
+    p = GrushinParams(0.0, 1, 0.0)
+    modes = [(mode_operator(p, k), sign) for k in (1, 2, 3, 8) for sign in (+1, -1)]
+    assert deficiency_counts(modes) == [1] * len(modes)
+    for (op, sign), ((_, log_abs, _), _) in zip(modes, fits):
+        assert log_abs[0] == pytest.approx(START_EFOLDS, abs=0.5), (op.mode_strength, sign)
+
+
+def _batch_matches_one_mode_calls(monkeypatch, params, ks):
+    # (op - i)u = 0 is the complex conjugate of (op + i)u = 0, so a one-mode call
+    # at sign +1 stands for both signs of the batch
+    fits = _spy_on_fits(monkeypatch)
+    ops = [mode_operator(params, k) for k in ks]
+    batch = deficiency_counts([(op, sign) for op in ops for sign in (+1, -1)])
+    batch_gammas = [gamma for _, (gamma, _) in fits]
+    fits.clear()
+    single = [numeric_deficiency_count(op, +1) for op in ops]
+    single_gammas = [gamma for _, (gamma, _) in fits]
+    assert batch == [count for count in single for _ in (+1, -1)], (params, ks)
+    assert batch_gammas == pytest.approx([g for g in single_gammas for _ in (+1, -1)], abs=1e-5)
+
+
+def test_batch_matches_one_mode_calls(monkeypatch):
+    # the stacked integration shares steps and segment ends across modes, and its
+    # error norm runs over every component; each mode must still read as alone
+    rng = np.random.default_rng(9)
+    draws = 0
+    while draws < 6:
+        alpha, n, c = rng.uniform(-0.95, 2.5), int(rng.integers(1, 4)), rng.uniform(-2.0, 2.0)
+        if abs(discriminant(alpha, n, c) - 4.0) < 1e-3:
+            continue
+        draws += 1
+        ks = sorted(int(k) for k in rng.choice(np.arange(1, 33), size=3, replace=False))
+        _batch_matches_one_mode_calls(monkeypatch, GrushinParams(alpha, n, c), ks)
+
+
+def test_batch_with_far_apart_windows_matches_one_mode_calls(monkeypatch):
+    # at alpha = -0.99 the windows of k = 1..8 lie up to ~200 apart in ln x, so
+    # modes leave the stack while others are still far from theirs
+    _batch_matches_one_mode_calls(monkeypatch, GrushinParams(-0.99, 2, 0.0), range(1, 9))
+
+
+def test_batch_bridges_a_gap_between_windows(monkeypatch):
+    # modes of different operators may share a batch; the alpha = 2 mode leaves the
+    # stack at ln x ~ -29, long before the alpha = -0.99 mode joins it near -60, so
+    # each mode is integrated exactly as alone
+    fits = _spy_on_fits(monkeypatch)
+    ops = [mode_operator(GrushinParams(2.0, 1, 0.0), 1), mode_operator(GrushinParams(-0.99, 2, 0.0), 1)]
+    assert deficiency_counts([(op, +1) for op in ops]) == [0, 1]
+    batch = [fit for _, fit in fits]
+    fits.clear()
+    assert [numeric_deficiency_count(op, +1) for op in ops] == [0, 1]
+    assert batch == [fit for _, fit in fits]

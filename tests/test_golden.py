@@ -1,9 +1,12 @@
-"""classify and phase-diagram output stays byte-identical to the per-row classifier.
+"""CLI output stays byte-identical to the implementations it replaced.
 
 The expected digests in ``golden_classify_outputs.json`` were captured from the
 implementation that built a Theta lattice for every row; they cover the README
 invocations, a near-singular grid (1 + alpha down to 0.0031), rational alphas
 where several lattice points tie, and a phase diagram at n = 2 with alpha < 0.
+Those in ``golden_deficiency_outputs.json`` were captured from the deficiency
+oracle that integrated each mode and sign on its own; they cover the README
+``deficiency`` invocations in JSON and CSV.
 """
 
 import hashlib
@@ -15,7 +18,13 @@ import pytest
 
 from grushin.cli import main
 
-CASES = json.loads((pathlib.Path(__file__).with_name("golden_classify_outputs.json")).read_text())["cases"]
+
+def _cases(file: str) -> dict:
+    return json.loads(pathlib.Path(__file__).with_name(file).read_text())["cases"]
+
+
+CASES = _cases("golden_classify_outputs.json")
+DEFICIENCY_CASES = _cases("golden_deficiency_outputs.json")
 
 
 def _digest(text: str) -> dict:
@@ -35,3 +44,10 @@ def test_output_matches_per_row_classifier(name, tmp_path, monkeypatch, capsys):
     else:
         got = {"stdout": _digest(capsys.readouterr().out)}
     assert got == case["outputs"]
+
+
+@pytest.mark.parametrize("name", sorted(DEFICIENCY_CASES))
+def test_deficiency_output_matches_per_mode_oracle(name, capsys):
+    case = DEFICIENCY_CASES[name]
+    assert main(case["argv"]) == 0
+    assert {"stdout": _digest(capsys.readouterr().out)} == case["outputs"]

@@ -37,8 +37,8 @@ sums each term over all of its points at once, and powers and logarithms
 use the C library's ``pow`` and ``log`` (numpy's vectorized ones can round
 differently in the last bit).  Only the points on the quadrature and
 asymptotic routes are evaluated one at a time.  So the membership oracle
-costs one array evaluation of ``u`` for its infinity probe and one for all
-of its windows.
+costs one array evaluation of ``u`` for its infinity probe, and one of ``u``
+and one of ``du`` for its fit window.
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ from typing import Tuple, Union
 import numpy as np
 import scipy.special as sp
 from scipy.integrate import IntegrationWarning, quad
+
+from .deficiency import WINDOW_LENGTH, WINDOW_POINTS, fit_local_exponent, log_envelope
 
 __all__ = [
     "BesselModelOp",
@@ -482,7 +484,7 @@ def kernel_solutions(op: BesselModelOp) -> KernelSolutionPair:
 
 
 # ---------------------------------------------------------------------------
-# weighted-L2 kernel predicate and its quadrature oracle
+# weighted-L2 kernel predicate and its brute-force oracle
 
 
 def has_kernel_in_weighted_L2(op: BesselModelOp) -> bool:
@@ -507,31 +509,22 @@ def critical_delta(op: BesselModelOp) -> float:
     return (1.0 - op.a) / 2.0 - re_sqrt / 2.0 + 0.5
 
 
-def weighted_L2_membership_oracle(
-    op: BesselModelOp,
-    which: str,
-    x_hi: float = 0.5,
-    n_windows: int = 18,
-    borderline_tol: float = 1e-3,
-) -> str:
+def weighted_L2_membership_oracle(op: BesselModelOp, which: str, borderline_tol: float = 1e-3) -> str:
     """Brute-force square-integrability of x^{-delta} u_i near 0 and at infinity.
 
-    Integrates |x^{-delta} u|^2 over geometric windows toward 0 and fits the
-    decay exponent of the window sums; near-zero integrability holds iff the
-    fitted local exponent of |u| minus delta exceeds -1/2.  Growth at
-    infinity is probed at two points deep in the exponential regime (the
-    I-branch fails there).  Returns "true" / "false" / "inconclusive": the
-    last when the fitted exponent is within ``borderline_tol`` of -1/2, or
-    when the windows cannot cover the oscillation period.  The fitted
-    exponent can be off by a few hundredths, so a boolean is reliable only
-    for weights well away from the threshold (0.25 and more in the tests).
+    Growth at infinity is probed at two points deep in the exponential regime
+    (the I-branch fails there).  Near 0, ``deficiency.fit_local_exponent``
+    fits the exponent gamma of ``deficiency.log_envelope`` of (u, x u') on
+    WINDOW_POINTS points of ln x, and x^{-delta} u is L^2 there iff
+    gamma - delta > -1/2.  Returns "true" / "false" / "inconclusive": the last
+    when gamma - delta is within max(``borderline_tol``, the fit's residual)
+    of -1/2, or when no window fits above the underflow floor.
 
-    The probe is one array evaluation of ``u`` and all windows are another,
-    a (windows x 48) grid of x.  Only grid points right of the 2s = pi nu
-    line of the Bessel argument s (imaginary order) run the quadrature,
-    point by point.  The windows stop where x or s would leave the normal
-    floats, and an oscillation that needs more than 130 windows (nu below
-    about 0.05) is "inconclusive".
+    The window is the deepest one, at most WINDOW_LENGTH long, that keeps
+    every factor of u and u' below e^600 and the Bessel argument s a normal
+    float; at its top s <= 1e-4, so u is its two indicial branches up to a
+    relative O(s^2).  The probe is one array evaluation of ``u``, and the
+    window one of ``u`` and one of ``du``.
     """
     if which not in ("u1", "u2"):
         raise ValueError(f"which must be u1 or u2, got {which}")
@@ -547,83 +540,24 @@ def weighted_L2_membership_oracle(
     if val_deep > val_mod:
         return "false"
 
-    # --- behavior near zero: fit the window-sum decay.  For imaginary order
-    # |u|^2 is log-periodic with frequency 2 nu in ln x, so the windows must
-    # span at least a full period and the regression carries the oscillation
-    # explicitly; a plain slope fit on a fraction of a period is biased.
-    oscillatory = op.mu_op < 0.0 and op.nu > 0.0
-    ln_rho = math.log(2.0)
-    need_lnx = 0.0  # depth in ln x the fitted windows must cover
-    if oscillatory:
-        # window ratio chosen so the per-window phase step 2 nu ln(rho) stays
-        # away from multiples of pi (aliasing would collapse the harmonic
-        # regression), and depth covers a full oscillation period
-        period_lnx = math.pi / op.nu  # |u|^2 oscillates at frequency 2 nu in ln x
-
-        def anti_alias(lr: float) -> float:
-            d = (2.0 * op.nu * lr) % math.pi
-            return min(d, math.pi - d)
-
-        ln_rho = max((math.log(2.0), 0.6, 0.55, 0.45), key=anti_alias)
-        depth_needed = max(1.15 * period_lnx, 4.5)
-        n_windows = int(math.ceil(depth_needed / ln_rho)) + 8
-        if n_windows > 130:
-            # deeper fits wait for harmonics at the true frequency 2 nu beta of
-            # |u|^2 (at beta < 1 its period can outlast the range above
-            # underflow), so nu below about 0.05 stays undecided
-            return "inconclusive"
-        need_lnx = max(1.02 * period_lnx, 3.5)
-    # the deepest window keeps x, x^beta and the Bessel argument normal floats
-    ln_tiny = math.log(np.finfo(float).tiny)
-    ln_x_min = max(ln_tiny, (ln_tiny - min(0.0, math.log(pair.argument_scale))) / op.beta)
-    n_windows = min(n_windows, int((math.log(x_hi) - ln_x_min) / ln_rho))
-    skip = 3
-
-    def resolved(count: int) -> bool:
-        return count >= skip + 8 and (count - skip) * ln_rho >= need_lnx
-
-    if not resolved(n_windows):
-        return "inconclusive"  # too few windows above the underflow floor
-    rho = math.exp(ln_rho)
-    hi = x_hi * np.float_power(rho, -np.arange(n_windows))
-    lo = hi / rho
-    # rows contiguous, so each window's trapezoid sum adds in the order of a 1-D one
-    xs = np.ascontiguousarray(np.geomspace(lo, hi, 48, axis=1))
-    with np.errstate(all="ignore"):  # windows past the under/overflow floor are cut below
-        ys = pair.u(which, xs) * xs ** (-op.delta)
-        w = np.trapezoid(np.abs(ys) ** 2, xs, axis=1)
-    # keep the windows before the first under/overflowed one
-    bad = ~np.isfinite(w) | (w <= 1e-300)
-    kept = int(bad.argmax()) if bad.any() else n_windows
-    sums = w[:kept]
-    mids = np.sqrt(lo * hi)[:kept]
-    if not resolved(kept):
+    # --- behavior near zero: the exponent of u, read through its indicial branches.
+    # At real order the largest Bessel factor is K_{nu+1}(s) ~ Gamma(nu+1)/2 (2/s)^{nu+1};
+    # at imaginary order |s^{i nu}| = 1, and it is |K_{1+i nu}(s)| <= 1/s, as at real_nu = 0.
+    # Its constant e^c times the powers of x in x^p, x^{p-1}, s^{-nu-1} and s' stays
+    # below e^600 on the window, and s stays a normal float.
+    real_nu = pair.nu if pair.order_kind == "real" else 0.0
+    beta, ln_scale = op.beta, math.log(pair.argument_scale)
+    c = max(0.0, math.lgamma(real_nu + 1.0) + (real_nu + 1.0) * (math.log(2.0) - ln_scale))
+    t_bottom = max((c - 600.0) / (abs(pair.exponent_prefix) + real_nu * beta + 1.0 + beta),
+                   (math.log(np.finfo(float).tiny) - ln_scale) / beta)
+    t_top = min(t_bottom + WINDOW_LENGTH, (math.log(1e-4) - ln_scale) / beta)
+    if not t_bottom < t_top:
         return "inconclusive"
-
-    lm = np.log(mids[skip:])
-    y = np.log(sums[skip:])
-    if oscillatory:
-        # log W = const + s ln m + oscillation at the known frequency; the two
-        # harmonics absorb the log-periodic modulation (and most of the
-        # log-of-cosine nonlinearity), and a robust reweighting pass
-        # suppresses the narrow dips where u crosses zero inside a window
-        ph = 2.0 * op.nu * lm
-        design = np.column_stack(
-            [np.ones_like(lm), lm, np.cos(ph), np.sin(ph), np.cos(2 * ph), np.sin(2 * ph)]
-        )
-    else:
-        design = np.column_stack([np.ones_like(lm), lm])
-    weights = np.ones_like(y)
-    coef = None
-    for _ in range(3):
-        wd = design * weights[:, None]
-        coef, *_ = np.linalg.lstsq(wd, y * weights, rcond=None)
-        res = y - design @ coef
-        sigma = 1.4826 * float(np.median(np.abs(res))) + 1e-12
-        weights = 1.0 / (1.0 + (res / (2.5 * sigma)) ** 2)
-    s = float(coef[1])
-    # W ~ m^{2 gamma_eff + 1} with gamma_eff the exponent of x^{-delta} u
-    gamma_eff = (s - 1.0) / 2.0
-    if abs(gamma_eff + 0.5) < borderline_tol:
+    t = np.linspace(t_top, t_bottom, WINDOW_POINTS)
+    x = np.exp(t)
+    log_abs = log_envelope(pair.u(which, x), x * pair.du(which, x), op.indicial_roots())
+    gamma, residual = fit_local_exponent(t, log_abs)
+    margin = gamma - op.delta + 0.5
+    if abs(margin) <= max(borderline_tol, residual):
         return "inconclusive"
-    return "true" if gamma_eff > -0.5 else "false"
+    return "true" if margin > 0 else "false"

@@ -15,8 +15,8 @@ indices are counted numerically, without that identity: the solution of
 start, and the exponent gamma of |u| ~ x^gamma is fitted near 0.  The count
 is 1 exactly when gamma > -1/2, so the oracle can disagree with the closed
 form in either regime.  One request makes one stacked integration: every
-mode and both signs share each solver step, each mode joining the stack at
-its own WKB start and leaving it after its own fit window.
+mode shares each solver step, joining the stack at its own WKB start and
+leaving it after its own fit window.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ __all__ = [
     "DeficiencyReport",
     "mode_operator",
     "classify_endpoint_zero",
+    "log_envelope",
     "fit_local_exponent",
     "square_integrable_at_zero",
     "deficiency_counts",
@@ -104,21 +105,29 @@ def classify_endpoint_zero(op: ModeOperator, tol: float = 1e-12) -> EndpointClas
     return EndpointClassification(kind, critical=False, nu_squared=nu2)
 
 
-def fit_local_exponent(t, log_abs, frequency: float = 0.0) -> Tuple[float, float]:
-    """Least-squares fit of log|u| = gamma t + b over samples t = ln x; returns (gamma, residual).
+def log_envelope(u, xu_prime, roots) -> np.ndarray:
+    """log hypot(|x u' - lambda_+ u|, |x u' - lambda_- u|) for samples of (u, x u').
 
-    With ``frequency`` f > 0 the model adds cos(f t) and sin(f t), the
-    oscillation of |u| at complex exponents 1/2 +- i|nu| (f = 2|nu|).  The
-    harmonic columns are left out when the window is shorter than one period:
-    there they are nearly collinear with the linear terms, and the slow
-    oscillation reads as a slow drift of the linear fit instead.  The
-    residual is the root mean square of the fit's residuals.
+    Near a regular singular point u = c_+ x^{lambda_+} + c_- x^{lambda_-} at
+    leading order, or (c_1 + c_2 ln x) x^lambda when the indicial roots
+    ``roots`` = (lambda_+, lambda_-) coincide.  Each factor x d/dx - lambda
+    removes one branch exactly, so each term is a pure power of x: it does not
+    oscillate at complex roots, it has no zeros, and at a double root both
+    terms are c_2 x^lambda.  The roots only say which branch a term removes;
+    the exponent of the sum is that of the dominant branch u carries.  A pure
+    x^lambda at a double root, with no log branch, reads its next order.
+    """
+    lam_plus, lam_minus = roots
+    return np.log(np.hypot(np.abs(xu_prime - lam_plus * u), np.abs(xu_prime - lam_minus * u)))
+
+
+def fit_local_exponent(t, log_abs) -> Tuple[float, float]:
+    """Least-squares line log|u| = gamma t + b over samples t = ln x; returns (gamma, residual).
+
+    The residual is the root mean square of the fit's residuals.
     """
     t = np.asarray(t, dtype=float)
-    cols = [np.ones_like(t), t - t.mean()]
-    if frequency * np.ptp(t) >= 2.0 * math.pi:
-        cols += [np.cos(frequency * t), np.sin(frequency * t)]
-    design = np.column_stack(cols)
+    design = np.column_stack([np.ones_like(t), t - t.mean()])
     coef, *_ = np.linalg.lstsq(design, log_abs, rcond=None)
     residual = log_abs - design @ coef
     return float(coef[1]), float(np.sqrt(np.mean(residual**2)))
@@ -181,8 +190,9 @@ def deficiency_counts(modes: Sequence[Tuple[ModeOperator, int]]) -> List[int]:
     ker(op* - i).  Infinity is limit point, so the decaying solution is unique
     up to scale and the count is 1 exactly when it is L^2 at 0.  It is
     integrated inward, the stable direction, as (u, x u') in t = ln x, and
-    ``fit_local_exponent`` reads its power of x on the fit window (``_launch``).
-    Only the frequency 2|nu| comes from nu^2; no indicial root is read.
+    ``fit_local_exponent`` reads the power of x of its ``log_envelope`` on the
+    fit window (``_launch``).  The indicial roots 1/2 +- nu only say which
+    branch each envelope term removes; the exponent itself is measured.
 
     The modes share one linear system and so each DOP853 step.  A mode joins
     at its own start and leaves after its window's bottom: a segment ends at
@@ -202,16 +212,11 @@ def deficiency_counts(modes: Sequence[Tuple[ModeOperator, int]]) -> List[int]:
     k2 = np.array([op.mode_strength**2 for op, _ in modes])
     a2 = np.array([2.0 + 2.0 * op.params.alpha for op, _ in modes])
     A = np.array([op.inverse_square_coeff for op, _ in modes])
-    nu2 = A + 0.25
+    nu = np.sqrt(A + 0.25 + 0j)
+    roots = np.column_stack((0.5 + nu, 0.5 - nu))  # of lambda (lambda - 1) = A
     launches = [_launch(op, e) for (op, _), e in zip(modes, eig)]
     windows = np.array([window for window, _, _ in launches]).reshape(len(modes), WINDOW_POINTS)
     bottoms = windows[:, -1]
-    # The fit reads the state norm (|u|^2 + |x u'|^2 / (|nu^2| + 1/4))^{1/2}, which grows like |u|
-    # on the window but has no zeros: at complex exponents 1/2 +- i|nu| a nearly real u dips
-    # toward 0 twice a period, and log|u| would leave the harmonic fit a residual near 1/2.
-    def log_norm(u, w, m):
-        return 0.5 * np.log(np.abs(u) ** 2 + np.abs(w) ** 2 / (abs(nu2[m]) + 0.25))
-
     starts = [start for _, start, _ in launches]
     pending = sorted(range(len(modes)), key=lambda m: -starts[m])  # in order of joining
     active = np.zeros(0, dtype=int)
@@ -242,7 +247,8 @@ def deficiency_counts(modes: Sequence[Tuple[ModeOperator, int]]) -> List[int]:
         n = active.size
         for j, m in enumerate(active):
             cols = grid.size - 1 - np.searchsorted(grid, windows[m, inside[j]])
-            log_abs[m, inside[j]] = log_norm(sol.y[j, cols], sol.y[n + j, cols], m) + log_scale[m]
+            log_abs[m, inside[j]] = (log_envelope(sol.y[j, cols], sol.y[n + j, cols], roots[m])
+                                     + log_scale[m])
         u, w = sol.y[:n, -1], sol.y[n:, -1]
         scale = np.maximum(np.abs(u), np.abs(w))
         u, w = u / scale, w / scale
@@ -250,12 +256,11 @@ def deficiency_counts(modes: Sequence[Tuple[ModeOperator, int]]) -> List[int]:
         t = t_next
         stay = bottoms[active] < t
         for j, m in zip(np.flatnonzero(~stay), active[~stay]):  # t is the window's last point
-            log_abs[m, -1] = log_norm(u[j], w[j], m) + log_scale[m]
+            log_abs[m, -1] = log_envelope(u[j], w[j], roots[m]) + log_scale[m]
         active, u, w = active[stay], u[stay], w[stay]
     counts = []
     for m, window in enumerate(windows):
-        gamma, residual = fit_local_exponent(window, log_abs[m],
-                                             2.0 * math.sqrt(-nu2[m]) if nu2[m] < 0 else 0.0)
+        gamma, residual = fit_local_exponent(window, log_abs[m])
         counts.append(int(square_integrable_at_zero(gamma, residual)))
     return counts
 
@@ -294,20 +299,22 @@ class DeficiencyReport:
 def aggregate_deficiency(params: GrushinParams, k_max: int) -> DeficiencyReport:
     """Per-mode deficiency table over k = 1..k_max and the aggregate verdict.
 
-    Every mode and both signs are counted by one ``deficiency_counts`` call,
-    so they share one stacked inward integration.  The left half-line
-    operator is carried to the right one by x -> -x, so each per-mode count
-    is twice the single half-line count.  Aggregate is "infinite" iff every
-    sampled mode contributes and the endpoint is limit circle (a
-    mode-independent statement), else "zero".
+    Every mode is counted by one ``deficiency_counts`` call, so the modes
+    share one stacked inward integration.  Only the sign +1 is integrated:
+    the operator is real, so (op - i)u = 0 is the complex conjugate of
+    (op + i)u = 0, its solutions are the conjugates, and ``count_minus`` is
+    ``count_plus``.  The left half-line operator is carried to the right one
+    by x -> -x, so each per-mode count is twice the single half-line count.
+    Aggregate is "infinite" iff every sampled mode contributes and the
+    endpoint is limit circle (a mode-independent statement), else "zero".
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     ks = range(1, k_max + 1)
-    counts = deficiency_counts([(mode_operator(params, k), sign) for k in ks for sign in (+1, -1)])
-    rows = [(k, 2 * counts[2 * i], 2 * counts[2 * i + 1]) for i, k in enumerate(ks)]
+    counts = deficiency_counts([(mode_operator(params, k), +1) for k in ks])
+    rows = [(k, 2 * count, 2 * count) for k, count in zip(ks, counts)]
     cls = classify_endpoint_zero(mode_operator(params, 1))
-    infinite = cls.kind == "limit_circle" and all(cp > 0 and cm > 0 for _, cp, cm in rows)
+    infinite = cls.kind == "limit_circle" and all(counts)
     return DeficiencyReport(
         params=params,
         per_mode=tuple(rows),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -19,6 +20,7 @@ from grushin.bessel import (
     kernel_solutions,
     weighted_L2_membership_oracle,
 )
+from grushin.deficiency import WINDOW_POINTS
 
 mp.mp.dps = 50
 
@@ -379,21 +381,158 @@ def test_kernel_array_matches_scalar_calls(a, b, h, beta):
 
 
 def test_membership_oracle_evaluates_u_in_two_array_calls(monkeypatch):
-    # the infinity probe is one array call of u and every window is another
+    # the infinity probe is one array call of u, and the fit window one of u and one of du
     from grushin.bessel import KernelSolutionPair
 
     calls = []
-    original = KernelSolutionPair.u
+    for name in ("u", "du"):
+        original = getattr(KernelSolutionPair, name)
 
-    def counting(self, which, x):
-        calls.append(np.shape(x))
-        return original(self, which, x)
+        def counting(self, which, x, name=name, original=original):
+            calls.append((name, np.shape(x)))
+            return original(self, which, x)
 
-    monkeypatch.setattr(KernelSolutionPair, "u", counting)
+        monkeypatch.setattr(KernelSolutionPair, name, counting)
     for op in (BesselModelOp(0.5, -1.0, 2.0, 1.2, delta=0.5), BesselModelOp(1.0, 1.0, 1.0, 1.0)):
         calls.clear()
         weighted_L2_membership_oracle(op, "u2")
-        assert len(calls) == 2 and calls[0] == (2,) and calls[1][1] == 48
+        assert calls == [("u", (2,)), ("u", (WINDOW_POINTS,)), ("du", (WINDOW_POINTS,))]
+
+
+def _with_delta(op, delta):
+    return BesselModelOp(op.a, op.b, op.h, op.beta, delta=delta)
+
+
+def _op_of_order(rng, nu, imaginary=False):
+    """A criterion-5-style operator whose Bessel order is nu, or i nu."""
+    a, h, beta = rng.uniform(-3.0, 3.0), 10 ** rng.uniform(-1, 1), rng.uniform(0.4, 2.5)
+    mu_op = (2.0 * beta * nu) ** 2 * (-1.0 if imaginary else 1.0)
+    return BesselModelOp(a=a, b=((a - 1.0) ** 2 - mu_op) / 4.0, h=h, beta=beta)
+
+
+def _decided_and_right(op):
+    verdict = weighted_L2_membership_oracle(op, "u2")
+    return verdict != "inconclusive" and (verdict == "true") == has_kernel_in_weighted_L2(op)
+
+
+def test_membership_oracle_decides_small_imaginary_orders():
+    # |u| of an imaginary order oscillates with period pi/(nu beta) in ln x, longer
+    # than any window here; the envelope does not oscillate at all
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        op = _op_of_order(rng, rng.uniform(0.01, 0.05), imaginary=True)
+        assert op.mu_op < 0 and 0.0099 < op.nu < 0.0501
+        op = _with_delta(op, critical_delta(op) + rng.choice([-1.0, 1.0]) * rng.uniform(0.25, 1.25))
+        assert _decided_and_right(op), op
+
+
+def test_membership_oracle_is_inconclusive_within_borderline_tol():
+    rng = np.random.default_rng(12)
+    for op in _random_ops(rng, 300):
+        op = _with_delta(op, critical_delta(op) + rng.uniform(-1e-3, 1e-3))
+        assert weighted_L2_membership_oracle(op, "u2") == "inconclusive", op
+
+
+def test_membership_oracle_decides_small_margins():
+    rng = np.random.default_rng(13)
+    for op in _random_ops(rng, 300):
+        margin = rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 1e-2)
+        assert _decided_and_right(_with_delta(op, critical_delta(op) + margin)), op
+
+
+def _spy_on_gammas(monkeypatch):
+    from grushin import bessel
+
+    gammas = []
+    fit = bessel.fit_local_exponent
+
+    def spy(*args):
+        gamma, residual = fit(*args)
+        gammas.append(gamma)
+        return gamma, residual
+
+    monkeypatch.setattr(bessel, "fit_local_exponent", spy)
+    return gammas
+
+
+def test_membership_oracle_at_and_near_a_double_root(monkeypatch):
+    # mu_op = 0: u2 ~ x^{(1-a)/2} ln x, and the envelope reads its exponent exactly.
+    # Real 0 < nu <= 0.005: the branches x^{(1-a)/2 -+ nu beta} have not separated
+    # above the underflow floor and the exponent is biased, but never past 2e-3
+    gammas = _spy_on_gammas(monkeypatch)
+    rng = np.random.default_rng(14)
+    for _ in range(100):
+        op = _op_of_order(rng, 0.0)
+        assert op.mu_op == 0.0
+        gammas.clear()
+        assert _decided_and_right(_with_delta(op, critical_delta(op) + rng.choice([-2e-3, 2e-3]))), op
+        assert gammas == [pytest.approx((1.0 - op.a) / 2.0, abs=1e-10)]
+    for _ in range(100):
+        op = _op_of_order(rng, rng.uniform(1e-6, 0.005))
+        op = _with_delta(op, critical_delta(op) + rng.choice([-2e-3, 2e-3]))
+        verdict = weighted_L2_membership_oracle(op, "u2")
+        assert verdict == "inconclusive" or (verdict == "true") == has_kernel_in_weighted_L2(op), op
+
+
+def test_membership_oracle_can_disagree(monkeypatch):
+    # a u with exponent -0.8 near 0 (and decaying at infinity) is not L^2 there,
+    # whatever the closed form of the operator says
+    from grushin.bessel import KernelSolutionPair
+
+    monkeypatch.setattr(KernelSolutionPair, "u", lambda self, which, x: x**-0.8)
+    monkeypatch.setattr(KernelSolutionPair, "du", lambda self, which, x: -0.8 * x**-1.8)
+    op = BesselModelOp(a=0.0, b=0.0, h=1.0, beta=1.0)
+    assert has_kernel_in_weighted_L2(op)
+    assert weighted_L2_membership_oracle(op, "u2") == "false"
+
+
+@pytest.mark.parametrize(
+    "a,b,h,beta",
+    [
+        (1.0, -3600.0, 0.1, 2.5),  # real order nu = 24, Gamma(25) ~ e^54
+        (1.0, 400.0, 1.0, 1.0),  # imaginary order nu = 20
+        (1.0, 2500.0, 1.0, 1.0),  # imaginary order nu = 50
+    ],
+)
+def test_membership_oracle_stays_in_range_at_large_orders(monkeypatch, a, b, h, beta):
+    # the window leaves room for the constant of the largest Bessel factor, and
+    # its top keeps the Bessel argument small enough for the indicial branches
+    gammas = _spy_on_gammas(monkeypatch)
+    op = BesselModelOp(a=a, b=b, h=h, beta=beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for side in (-0.5, 0.5):
+            assert _decided_and_right(_with_delta(op, critical_delta(op) + side))
+    lam_minus = min(r.real for r in op.indicial_roots())
+    assert gammas == [pytest.approx(lam_minus, abs=1e-9)] * 2
+
+
+def test_membership_oracle_is_inconclusive_on_a_poor_fit(monkeypatch):
+    # u = x^{-0.49} e^{0.3 sin ln x} has no exponent the line fit can trust: the
+    # residual exceeds the distance of the fitted one from -1/2
+    from grushin.bessel import KernelSolutionPair
+
+    def u(self, which, x):
+        return x**-0.49 * np.exp(0.3 * np.sin(np.log(x)))
+
+    def du(self, which, x):
+        return u(self, which, x) / x * (-0.49 + 0.3 * np.cos(np.log(x)))
+
+    monkeypatch.setattr(KernelSolutionPair, "u", u)
+    monkeypatch.setattr(KernelSolutionPair, "du", du)
+    op = BesselModelOp(a=0.0, b=0.0, h=1.0, beta=1.0)
+    assert weighted_L2_membership_oracle(op, "u2") == "inconclusive"
+
+
+def test_membership_oracle_stays_in_range_on_criterion_5_draws():
+    # criterion 5's seeded draws and 2000 more: a window that let x, s or a power
+    # in u or u' over- or underflow would warn, and fail here
+    rng = np.random.default_rng(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for op in _random_ops(rng, 2500):
+            delta = critical_delta(op) + float(rng.choice([-1.0, 1.0])) * rng.uniform(0.25, 1.25)
+            assert _decided_and_right(_with_delta(op, delta)), op
 
 
 @pytest.mark.parametrize("b", [-0.5, 4.0])  # real and imaginary order

@@ -11,6 +11,7 @@ from grushin.deficiency import (
     classify_endpoint_zero,
     deficiency_counts,
     fit_local_exponent,
+    log_envelope,
     mode_operator,
     numeric_deficiency_count,
     square_integrable_at_zero,
@@ -137,19 +138,31 @@ def test_shooting_predicate_agreement_random():
 WINDOW = np.linspace(-30.0, -10.0, 201)  # t = ln x
 
 
-def _fit_count(log_abs, frequency=0.0):
-    return int(square_integrable_at_zero(*fit_local_exponent(WINDOW, log_abs, frequency)))
+def _fit_count(log_abs):
+    return int(square_integrable_at_zero(*fit_local_exponent(WINDOW, log_abs)))
 
 
 def test_exponent_fit_can_disagree():
     # synthetic profiles with known exponents on both sides of -1/2
     assert _fit_count(-0.8 * WINDOW) == 0
     assert _fit_count(-0.2 * WINDOW) == 1
-    nu = 0.7  # |u| = x^{1/2} (2 + cos(2 nu ln x)), the shape at complex exponents
-    oscillating = 0.5 * WINDOW + np.log(2.0 + np.cos(2 * nu * WINDOW))
-    gamma, _ = fit_local_exponent(WINDOW, oscillating, 2 * nu)
-    assert gamma == pytest.approx(0.5, abs=0.05)
-    assert _fit_count(oscillating, 2 * nu) == 1
+
+
+def test_log_envelope_does_not_oscillate_at_complex_roots():
+    # u = x^{1/2} cos(nu ln x + phi), the real solution at roots 1/2 +- i nu, dips to 0
+    # twice a period; each term of its envelope is nu x^{1/2} exactly
+    nu, phi = 0.7, 0.3
+    x = np.exp(WINDOW)
+    u = np.sqrt(x) * np.cos(nu * WINDOW + phi)
+    xu_prime = np.sqrt(x) * (0.5 * np.cos(nu * WINDOW + phi) - nu * np.sin(nu * WINDOW + phi))
+    envelope = log_envelope(u, xu_prime, (0.5 + 1j * nu, 0.5 - 1j * nu))
+    gamma, residual = fit_local_exponent(WINDOW, envelope)
+    assert gamma == pytest.approx(0.5, abs=1e-10)
+    assert residual < 1e-10
+    # a single branch is removed by one factor and read by the other
+    for lam in (0.3, -0.7):
+        envelope = log_envelope(x**lam, lam * x**lam, (0.3, -0.7))
+        assert fit_local_exponent(WINDOW, envelope)[0] == pytest.approx(lam, abs=1e-10)
 
 
 def _spy_on_fits(monkeypatch):
@@ -173,17 +186,31 @@ def _spy_on_fits(monkeypatch):
         # the window sits at x ~ e^{-70}; inward |u| falls like x^{1/2} over a
         # long stretch, so the solver must control the error relative to |u|
         (-0.85, 3, 1.8, 4.0, 0.5),
+        (-0.5, 2, 0.0, 1.0, 0.5),  # nu^2 = 0: u ~ x^{1/2} ln x
     ],
 )
 def test_oracle_fits_the_local_exponent(monkeypatch, alpha, n, c, k, gamma):
     # the fitted exponent of the decaying solution, not only the count; at
-    # large k the solution is nearly real and |u| dips toward 0, which the
-    # fitted state norm and the harmonic columns must absorb
+    # large k the solution is nearly real and |u| dips toward 0, which its
+    # envelope does not
     fits = _spy_on_fits(monkeypatch)
     numeric_deficiency_count(mode_operator(GrushinParams(alpha, n, c), k), +1)
     (_, (fitted, residual)), = fits
     assert fitted == pytest.approx(gamma, abs=1e-3)
-    assert residual < 0.1
+    assert residual < 1e-4
+
+
+@pytest.mark.parametrize(
+    "alpha,n,c,k", [(0.5, 1, 0.0, 1.0), (2.0, 1, 0.0, 8.0), (1.0, 1, 1.0, 32.0), (-0.5, 2, 0.0, 1.0)]
+)
+def test_minus_sign_is_the_conjugate_solve(monkeypatch, alpha, n, c, k):
+    # (op - i)u = 0 is the complex conjugate of (op + i)u = 0, so both signs fit the
+    # same exponent and residual, bit for bit, and aggregate_deficiency solves only +1
+    fits = _spy_on_fits(monkeypatch)
+    op = mode_operator(GrushinParams(alpha, n, c), k)
+    assert numeric_deficiency_count(op, +1) == numeric_deficiency_count(op, -1)
+    (_, plus), (_, minus) = fits
+    assert plus == minus
 
 
 def test_critical_exponent_is_not_square_integrable():
@@ -218,7 +245,7 @@ def test_wkb_start_is_the_decaying_solution(monkeypatch):
     p = GrushinParams(0.0, 1, 0.0)
     modes = [(mode_operator(p, k), sign) for k in (1, 2, 3, 8) for sign in (+1, -1)]
     assert deficiency_counts(modes) == [1] * len(modes)
-    for (op, sign), ((_, log_abs, _), _) in zip(modes, fits):
+    for (op, sign), ((_, log_abs), _) in zip(modes, fits):
         assert log_abs[0] == pytest.approx(START_EFOLDS, abs=0.5), (op.mode_strength, sign)
 
 

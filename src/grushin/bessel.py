@@ -50,7 +50,6 @@ from typing import Tuple, Union
 
 import numpy as np
 import scipy.special as sp
-from scipy.integrate import IntegrationWarning, quad
 
 from .deficiency import WINDOW_LENGTH, WINDOW_POINTS, fit_local_exponent, log_envelope
 
@@ -196,6 +195,7 @@ def _kv_quad(mu: complex, x: float) -> complex:
     oscillatory rule handles large nu; the e^{-x} factor is pulled out to
     keep the working integrand O(1).
     """
+    from scipy.integrate import IntegrationWarning, quad  # deferred: only this route integrates
     sigma, nu = float(mu.real), abs(float(mu.imag))
     T = float(np.arccosh(1.0 + 60.0 / x))
     fr = lambda t: math.exp(-x * (math.cosh(t) - 1.0)) * math.cosh(sigma * t)

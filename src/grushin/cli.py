@@ -282,9 +282,19 @@ def cmd_extension_build(args) -> int:
     return EXIT_OK
 
 
+def _read_input(path: str, build):
+    """``build`` applied to the JSON in file ``path``; a missing file or field is a usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return build(json.load(fh))
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
+    except (KeyError, TypeError) as exc:
+        raise UsageError(f"{path}: missing or malformed field {exc}") from exc
+
+
 def cmd_extension_verify(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = ExtensionSpec.from_json_dict(json.load(fh))
+    spec = _read_input(args.spec, ExtensionSpec.from_json_dict)
     p = GrushinParams(args.alpha, args.n, args.c)
     rng = np.random.default_rng(args.seed)
     constraint = lagrangian_from_unitary(spec)
@@ -346,41 +356,27 @@ def cmd_indexset(args) -> int:
 
 
 def _metric_from_file(path: str) -> curvature_mod.ConformalFactor:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    terms = data["conformal_factor"]["terms"]
+    terms = _read_input(path, lambda data: [
+        tuple(map(float, (t["x_power"], t["mode"], t.get("cos", 0.0), t.get("sin", 0.0))))
+        for t in data["conformal_factor"]["terms"]])
 
     def f(x, y):
-        total = 0.0
-        y0 = float(np.atleast_1d(y)[0])
-        for t in terms:
-            osc = t.get("cos", 0.0) * math.cos(t["mode"] * y0) + t.get("sin", 0.0) * math.sin(
-                t["mode"] * y0
-            )
-            total += x ** t["x_power"] * osc
+        total, y0 = 0.0, float(np.atleast_1d(y)[0])
+        for m, k, a, b in terms:
+            total += x**m * (a * math.cos(k * y0) + b * math.sin(k * y0))
         return total
 
     def df_dx(x, y):
-        total = 0.0
-        y0 = float(np.atleast_1d(y)[0])
-        for t in terms:
-            m = t["x_power"]
-            if m == 0:
-                continue
-            osc = t.get("cos", 0.0) * math.cos(t["mode"] * y0) + t.get("sin", 0.0) * math.sin(
-                t["mode"] * y0
-            )
-            total += m * x ** (m - 1) * osc
+        total, y0 = 0.0, float(np.atleast_1d(y)[0])
+        for m, k, a, b in terms:
+            if m != 0:
+                total += m * x ** (m - 1) * (a * math.cos(k * y0) + b * math.sin(k * y0))
         return total
 
     def grad_y(x, y):
-        y0 = float(np.atleast_1d(y)[0])
-        total = 0.0
-        for t in terms:
-            k = t["mode"]
-            total += x ** t["x_power"] * (
-                -t.get("cos", 0.0) * k * math.sin(k * y0) + t.get("sin", 0.0) * k * math.cos(k * y0)
-            )
+        total, y0 = 0.0, float(np.atleast_1d(y)[0])
+        for m, k, a, b in terms:
+            total += x**m * (-a * k * math.sin(k * y0) + b * k * math.cos(k * y0))
         out = np.zeros(np.atleast_1d(y).size)
         out[0] = total
         return out

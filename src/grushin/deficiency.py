@@ -14,9 +14,9 @@ indices are counted numerically, without that identity: the solution of
 (op -+ i) u = 0 that decays at infinity is integrated inward from a WKB
 start, and the exponent gamma of |u| ~ x^gamma is fitted near 0.  The count
 is 1 exactly when gamma > -1/2, so the oracle can disagree with the closed
-form in either regime.  One request makes one stacked integration: every
-mode shares each solver step, joining the stack at its own WKB start and
-leaving it after its own fit window.
+form in either regime.  One request makes one stacked integration by
+fourth-order Magnus steps (numpy only): every mode shares each step, joining
+the stack at its own WKB start and leaving it after its own fit window.
 """
 
 from __future__ import annotations
@@ -36,8 +36,11 @@ WINDOW_COUPLING = 1e-8
 #: length of the fit window in t = ln x, and its number of samples
 WINDOW_LENGTH = 20.0
 WINDOW_POINTS = 201
-#: growth of log|u| allowed in one integration segment before the state is renormalized
-SEGMENT_EFOLDS = 100.0
+#: Magnus step rule: in one step p may change by STEP_DRIFT of |p| + 1 through its slope and
+#: STEP_BEND through its curvature, and sqrt(p) may gain STEP_EFOLDS e-folds
+STEP_DRIFT, STEP_BEND, STEP_EFOLDS = 0.05, 0.01, 50.0
+#: the two Gauss points of a Magnus step, as fractions of it, one per row
+_GAUSS = np.array([[0.5 - math.sqrt(3.0) / 6.0], [0.5 + math.sqrt(3.0) / 6.0]])
 
 __all__ = [
     "ModeOperator",
@@ -175,11 +178,23 @@ def _launch(op: ModeOperator, eig: complex):
     return np.linspace(t_top, t_top - WINDOW_LENGTH, WINDOW_POINTS), t, y
 
 
-def _rhs(t, y, k2, a2, A, eig):
-    """(u, x u')' = (x u', x u' + p u) in t = ln x for every stacked mode; y = (u..., x u'...)."""
-    n = k2.size
-    u, w = y[:n], y[n:]
-    return np.concatenate((w, w + (k2 * np.exp(a2 * t) + A + eig * math.exp(2.0 * t)) * u))
+def _magnus_step(t, h, k2, a2, A, eig, u, w):
+    """(u, x u') at t + h from (u, x u') at t, by one fourth-order Magnus step per stacked mode.
+
+    In t = ln x each mode solves (u, x u')' = M (u, x u'), M = [[0, 1], [p, 1]].
+    Two Gauss points p_1, p_2 give Omega = (h/2)(M_1 + M_2) + (sqrt 3/12) h^2 [M_2, M_1]
+    = (h/2) I + N, with N = [[c - h/2, h], [h (p_1 + p_2)/2 + c, h/2 - c]] and
+    c = (sqrt 3/12) h^2 (p_1 - p_2); then exp(Omega) = e^{h/2} (cosh d I + (sinh d/d) N),
+    d^2 = -det N.  ``h`` is one length for the stack or one per mode.
+    """
+    gauss = t + _GAUSS * h
+    p1, p2 = k2 * np.exp(a2 * gauss) + A + eig * np.exp(2.0 * gauss)
+    c = math.sqrt(3.0) / 12.0 * h * h * (p1 - p2)
+    n11, n21 = c - 0.5 * h, 0.5 * h * (p1 + p2) + c
+    d = np.sqrt(n11 * n11 + h * n21)
+    grow = np.exp(0.5 * h)
+    cosh, sinhc = grow * np.cosh(d), grow * np.where(d == 0, 1.0, np.sinh(d) / d)  # sinh(0)/0 = 1
+    return cosh * u + sinhc * (n11 * u + h * w), cosh * w + sinhc * (n21 * u - n11 * w)
 
 
 def deficiency_counts(modes: Sequence[Tuple[ModeOperator, int]]) -> List[int]:
@@ -194,75 +209,64 @@ def deficiency_counts(modes: Sequence[Tuple[ModeOperator, int]]) -> List[int]:
     fit window (``_launch``).  The indicial roots 1/2 +- nu only say which
     branch each envelope term removes; the exponent itself is measured.
 
-    The modes share one linear system and so each DOP853 step.  A mode joins
-    at its own start and leaves after its window's bottom: a segment ends at
-    the next join or leave, or after SEGMENT_EFOLDS e-folds of the
-    fastest-growing active mode, and every mode is renormalized by its own
-    scale at each segment end.
+    The modes share each ``_magnus_step``, the shortest that the STEP_* rule
+    allows any active mode, and each mode is renormalized by its own scale
+    after it.  No step passes the next join or the deepest active window's
+    bottom.  Window samples are read by Magnus steps of their own length from
+    the start of the step that passes them, and a mode leaves once all are read.
     """
     modes = list(modes)
-    for op, _ in modes:
-        if not (op.mode_strength > 0 or op.params.alpha > 0):
-            raise UnsupportedConfigurationError(
-                "need mode_strength > 0 or alpha > 0 for limit point at infinity"
-            )
-    from scipy.integrate import solve_ivp  # deferred so the CLI starts without scipy
-
+    if not all(op.mode_strength > 0 or op.params.alpha > 0 for op, _ in modes):
+        raise UnsupportedConfigurationError(
+            "need mode_strength > 0 or alpha > 0 for limit point at infinity")
     eig = np.array([-1j if sign > 0 else 1j for _, sign in modes])  # (op +- i) u = 0 <=> u'' = (V -+ i) u
     k2 = np.array([op.mode_strength**2 for op, _ in modes])
     a2 = np.array([2.0 + 2.0 * op.params.alpha for op, _ in modes])
     A = np.array([op.inverse_square_coeff for op, _ in modes])
     nu = np.sqrt(A + 0.25 + 0j)
-    roots = np.column_stack((0.5 + nu, 0.5 - nu))  # of lambda (lambda - 1) = A
+    roots = np.array([0.5 + nu, 0.5 - nu])  # of lambda (lambda - 1) = A, one column per mode
     launches = [_launch(op, e) for (op, _), e in zip(modes, eig)]
     windows = np.array([window for window, _, _ in launches]).reshape(len(modes), WINDOW_POINTS)
-    bottoms = windows[:, -1]
     starts = [start for _, start, _ in launches]
     pending = sorted(range(len(modes)), key=lambda m: -starts[m])  # in order of joining
-    active = np.zeros(0, dtype=int)
-    u = w = np.zeros(0, dtype=complex)
-    log_scale = np.zeros(len(modes))
-    log_abs = np.empty_like(windows)  # the fit's samples, one row per mode
-    t = math.inf
-    while pending or active.size:
-        while pending and starts[pending[0]] >= t:
-            m = pending.pop(0)
-            active = np.append(active, m)
-            u, w = np.append(u, launches[m][2][0]), np.append(w, launches[m][2][1])
-        if not active.size:  # nothing to integrate down to the next start
-            t = starts[pending[0]]
-            continue
-        # log|u| grows by at most Re sqrt(p) + 1 per unit of t, which is largest at the upper end
-        p = k2[active] * np.exp(a2[active] * t) + A[active] + eig[active] * math.exp(2.0 * t)
-        t_next = max(bottoms[active].max(), t - SEGMENT_EFOLDS / (np.sqrt(p).real.max() + 1.0),
-                     starts[pending[0]] if pending else -math.inf)
-        inside = [np.flatnonzero((windows[m] <= t) & (windows[m] > t_next)) for m in active]
-        grid = np.unique(np.concatenate([windows[m, i] for m, i in zip(active, inside)]))  # ascending
-        # inward, |u| can also fall like x^{1/2}, by up to SEGMENT_EFOLDS/2 e-folds; atol lies below
-        sol = solve_ivp(_rhs, (t, t_next), np.concatenate((u, w)), method="DOP853",
-                        rtol=1e-6, atol=1e-30, t_eval=np.append(grid[::-1], t_next),
-                        args=(k2[active], a2[active], A[active], eig[active]))
-        if not sol.success:
-            raise RuntimeError(f"integration failed on [{t_next}, {t}]: {sol.message}")
-        n = active.size
-        for j, m in enumerate(active):
-            cols = grid.size - 1 - np.searchsorted(grid, windows[m, inside[j]])
-            log_abs[m, inside[j]] = (log_envelope(sol.y[j, cols], sol.y[n + j, cols], roots[m])
-                                     + log_scale[m])
-        u, w = sol.y[:n, -1], sol.y[n:, -1]
-        scale = np.maximum(np.abs(u), np.abs(w))
-        u, w = u / scale, w / scale
-        log_scale[active] += np.log(scale)
-        t = t_next
-        stay = bottoms[active] < t
-        for j, m in zip(np.flatnonzero(~stay), active[~stay]):  # t is the window's last point
-            log_abs[m, -1] = log_envelope(u[j], w[j], roots[m]) + log_scale[m]
-        active, u, w = active[stay], u[stay], w[stay]
-    counts = []
-    for m, window in enumerate(windows):
-        gamma, residual = fit_local_exponent(window, log_abs[m])
-        counts.append(int(square_integrable_at_zero(gamma, residual)))
-    return counts
+    active, u, w = np.zeros(0, dtype=int), np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
+    log_scale, log_abs = np.zeros(len(modes)), np.empty_like(windows)  # log_abs: the fit's samples
+    t, regroup = math.inf, False
+    with np.errstate(divide="ignore", invalid="ignore"):  # p' = 0 or p'' = 0; sinh(d)/d at d = 0
+        while pending or active.size:
+            if not active.size:  # nothing to integrate down to the next start
+                t = starts[pending[0]]
+            while pending and starts[pending[0]] >= t:
+                m = pending.pop(0)
+                active, regroup = np.append(active, m), True
+                u, w = np.append(u, launches[m][2][0]), np.append(w, launches[m][2][1])
+            if regroup:  # the stack's constants, until the next join or leave
+                kk, aa, AA, ee, stack = k2[active], a2[active], A[active], eig[active], windows[active]
+                top, leave = stack[:, 0].max(), stack[:, -1].max()
+                floor = max(stack[:, -1].min(), starts[pending[0]] if pending else -math.inf)
+                regroup = False
+            # p = coupling + A -+ i e^{2t}: |p|, |p'| and |p''| are hypots of real and imaginary parts
+            coupling, rotation = kk * np.exp(aa * t), math.exp(2.0 * t)
+            p = np.hypot(coupling + AA, rotation)
+            drift = STEP_DRIFT * (p + 1.0) / np.hypot(aa * coupling, 2.0 * rotation)
+            bend = np.sqrt(STEP_BEND * (p + 1.0) / np.hypot(aa * aa * coupling, 4.0 * rotation))
+            h = np.minimum(np.minimum(drift, bend), STEP_EFOLDS / (np.sqrt(p) + 1.0)).min()
+            t_next = max(t - h, floor)
+            if t_next <= top:  # read the window samples in [t_next, t)
+                rows, cols = np.nonzero((stack >= t_next) & (stack < t))
+                m = active[rows]
+                su, sw = _magnus_step(t, stack[rows, cols] - t, kk[rows], aa[rows], AA[rows],
+                                      ee[rows], u[rows], w[rows])
+                log_abs[m, cols] = log_envelope(su, sw, roots[:, m]) + log_scale[m]
+            u, w = _magnus_step(t, t_next - t, kk, aa, AA, ee, u, w)
+            scale = np.maximum(np.abs(u), np.abs(w))
+            u, w, t = u / scale, w / scale, t_next
+            log_scale[active] += np.log(scale)
+            if t <= leave:  # some window's bottom is read
+                stay = stack[:, -1] < t
+                active, u, w, regroup = active[stay], u[stay], w[stay], True
+    fits = [fit_local_exponent(window, row) for window, row in zip(windows, log_abs)]
+    return [int(square_integrable_at_zero(gamma, residual)) for gamma, residual in fits]
 
 
 def numeric_deficiency_count(op: ModeOperator, sign: int) -> int:

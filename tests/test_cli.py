@@ -264,7 +264,7 @@ def test_curvature_cli_two_term_factor(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["asymptotic_check"]["relative_error"] < 1e-4
 
-def test_usage_exit_codes(capsys):
+def test_usage_exit_codes(tmp_path, capsys):
     assert main(["classify", "--alpha", "bad:grid", "--n", "1", "--c", "0"]) == 2
     assert main(["nonsense"]) == 2
     assert main(["classify", "--alpha", "-2", "--n", "1", "--c", "0"]) == 2  # alpha <= -1
@@ -284,6 +284,23 @@ def test_usage_exit_codes(capsys):
     assert main(["frobenius", "--alpha", "1", "--n", "1", "--c", "nan", "--root", "plus"]) == 2
     assert main(["curvature", "--alpha", "inf", "--n", "1"]) == 2
     assert main(["deficiency", "--alpha", "1", "--n", "1", "--c", "nan", "--kmax", "1"]) == 2
+    # a missing input file, a missing field or a field that is no number: one line on
+    # stderr, no traceback
+    (tmp_path / "empty.json").write_text("{}")
+    (tmp_path / "no_u.json").write_text(json.dumps({"regime": "mu_neg"}))
+    term = {"x_power": "a", "mode": 0, "cos": 1.0}
+    (tmp_path / "bad_term.json").write_text(json.dumps({"conformal_factor": {"terms": [term]}}))
+    capsys.readouterr()
+    for name, argv in [
+        ("nofile.json", ["curvature", "--alpha", "1", "--n", "1", "--metric"]),
+        ("empty.json", ["curvature", "--alpha", "1", "--n", "1", "--metric"]),
+        ("bad_term.json", ["curvature", "--alpha", "1", "--n", "1", "--metric"]),
+        ("nofile.json", ["extension", "verify", "--alpha", "1", "--n", "1", "--c", "1", "--spec"]),
+        ("no_u.json", ["extension", "verify", "--alpha", "1", "--n", "1", "--c", "1", "--spec"]),
+    ]:
+        code, out, err = run_cli([*argv, str(tmp_path / name)], capsys)
+        assert (code, out) == (2, ""), (argv, name)
+        assert "error:" in err and err.count("\n") == 1, (argv, name, err)
 
 
 @pytest.mark.parametrize(
@@ -348,7 +365,7 @@ def test_deficiency_limit_point_cli():
     assert payload["aggregate"] == "zero"
 
 def test_light_subcommands_do_not_import_scipy(tmp_path):
-    # only bessel and deficiency need scipy; the other subcommands must not pay its import
+    # only bessel needs scipy; the other subcommands must not pay its import
     code = """
 import contextlib, io, sys
 from grushin.cli import main
@@ -370,6 +387,35 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0] []"
+
+
+def _loaded_scipy_modules(argv, tmp_path):
+    code = f"""
+import contextlib, io, json, sys
+from grushin.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main({argv!r})
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+    env = dict(os.environ, GRUSHIN_OUTDIR=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
+def test_deficiency_does_not_import_scipy(tmp_path):
+    # the deficiency oracle integrates with numpy alone
+    argv = ["deficiency", "--alpha", "2", "--n", "1", "--c", "0", "--kmax", "8"]
+    assert _loaded_scipy_modules(argv, tmp_path) == (0, [])
+
+
+def test_bessel_series_route_does_not_import_scipy_integrate(tmp_path):
+    # only the quadrature route integrates; the series route needs scipy.special alone
+    code, modules = _loaded_scipy_modules(
+        ["bessel", "eval", "--kind", "Ktilde", "--x", "2.0", "--nu", "1.5"], tmp_path)
+    assert code == 0
+    assert "scipy.special" in modules
+    assert not [m for m in modules if m.startswith("scipy.integrate")]
 
 
 def test_console_entry_point():

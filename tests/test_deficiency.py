@@ -264,8 +264,8 @@ def _batch_matches_one_mode_calls(monkeypatch, params, ks):
 
 
 def test_batch_matches_one_mode_calls(monkeypatch):
-    # the stacked integration shares steps and segment ends across modes, and its
-    # error norm runs over every component; each mode must still read as alone
+    # the stacked integration shares its steps across modes, each as short as the
+    # most demanding active mode needs; each mode must still read as alone
     rng = np.random.default_rng(9)
     draws = 0
     while draws < 6:
@@ -294,3 +294,42 @@ def test_batch_bridges_a_gap_between_windows(monkeypatch):
     fits.clear()
     assert [numeric_deficiency_count(op, +1) for op in ops] == [0, 1]
     assert batch == [fit for _, fit in fits]
+
+
+def test_integrator_reads_the_closed_form_exponent(monkeypatch):
+    # the decaying solution is L^2-dominated at 0 by x^{1/2 - |Re nu|}; a step rule that
+    # lets one step cross from the coupling region into the window misses it by ~1e-4.
+    # Real 0 < nu < 0.25 is left out: there the subdominant branch x^{1/2 + nu} still
+    # tilts the window's fit by up to ~4e-4, whatever the integrator
+    fits = _spy_on_fits(monkeypatch)
+    rng = np.random.default_rng(12)
+    draws = 0
+    while draws < 120:
+        alpha, n, c = rng.uniform(-0.95, 2.5), int(rng.integers(1, 4)), rng.uniform(-2.0, 2.0)
+        k = rng.uniform(0.5, 40.0)
+        nu = np.sqrt(complex(discriminant(alpha, n, c) / 4.0))
+        if abs(nu) < 0.1 or 0.0 < nu.real < 0.25:
+            continue
+        draws += 1
+        numeric_deficiency_count(mode_operator(GrushinParams(alpha, n, c), k), +1)
+        (_, (gamma, _)), = fits
+        fits.clear()
+        assert gamma == pytest.approx(0.5 - abs(nu.real), abs=2e-5), (alpha, n, c, k)
+
+
+@pytest.mark.parametrize("alpha", [-0.99, -0.999])
+def test_cost_is_bounded_near_alpha_minus_one(monkeypatch, alpha):
+    # the fit windows lie up to ~1e4 units of ln x below the starts; where p barely
+    # changes a Magnus step is long and exact, so the step count stays bounded
+    steps = []
+    step = deficiency._magnus_step
+
+    def counting(*args):
+        steps.append(args[1])
+        return step(*args)
+
+    monkeypatch.setattr(deficiency, "_magnus_step", counting)
+    rep = aggregate_deficiency(GrushinParams(alpha, 2, 0.5), 8)
+    assert rep.aggregate == "infinite"
+    assert all(cp == cm == 2 for _, cp, cm in rep.per_mode)
+    assert len(steps) <= 1000

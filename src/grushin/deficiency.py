@@ -14,9 +14,9 @@ indices are counted numerically, without that identity: the solution of
 (op -+ i) u = 0 that decays at infinity is integrated inward from a WKB
 start, and the exponent gamma of |u| ~ x^gamma is fitted near 0.  The count
 is 1 exactly when gamma > -1/2, so the oracle can disagree with the closed
-form in either regime.  One request makes one stacked integration by
-fourth-order Magnus steps (numpy only): every mode shares each step, joining
-the stack at its own WKB start and leaving it after its own fit window.
+form in either regime.  Each mode is integrated by fourth-order Magnus steps
+(numpy only) on a grid of its own; a request integrates its modes in blocks,
+each in a fixed number of array passes.
 """
 
 from __future__ import annotations
@@ -39,8 +39,10 @@ WINDOW_POINTS = 201
 #: Magnus step rule: in one step p may change by STEP_DRIFT of |p| + 1 through its slope and
 #: STEP_BEND through its curvature, and sqrt(p) may gain STEP_EFOLDS e-folds
 STEP_DRIFT, STEP_BEND, STEP_EFOLDS = 0.05, 0.01, 50.0
-#: the two Gauss points of a Magnus step, as fractions of it, one per row
-_GAUSS = np.array([[0.5 - math.sqrt(3.0) / 6.0], [0.5 + math.sqrt(3.0) / 6.0]])
+#: the two Gauss points of a Magnus step, as fractions of it
+_GAUSS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+#: modes integrated together, so a request's arrays grow with BLOCK, not with its modes
+BLOCK = 32
 
 __all__ = [
     "ModeOperator",
@@ -178,27 +180,117 @@ def _launch(op: ModeOperator, eig: complex):
     return np.linspace(t_top, t_top - WINDOW_LENGTH, WINDOW_POINTS), t, y
 
 
-def _magnus_step(t, h, k2, a2, A, eig, u, w):
-    """(u, x u') at t + h from (u, x u') at t, by one fourth-order Magnus step per stacked mode.
+def _step_length(t, k2, a2, A):
+    """The longest Magnus step down from t that the STEP_* rule allows, elementwise.
+
+    p = coupling + A -+ i e^{2t}: |p|, |p'| and |p''| are hypots of real and imaginary parts.
+    """
+    coupling, rotation = k2 * np.exp(a2 * t), np.exp(2.0 * t)
+    p = np.hypot(coupling + A, rotation)
+    drift = STEP_DRIFT * (p + 1.0) / np.hypot(a2 * coupling, 2.0 * rotation)
+    bend = np.sqrt(STEP_BEND * (p + 1.0) / np.hypot(a2 * a2 * coupling, 4.0 * rotation))
+    return np.minimum(np.minimum(drift, bend), STEP_EFOLDS / (np.sqrt(p) + 1.0))
+
+
+def _magnus_step(t, h, k2, a2, A, eig):
+    """The propagators [[e11, e12], [e21, e22]] of fourth-order Magnus steps from t to t + h.
 
     In t = ln x each mode solves (u, x u')' = M (u, x u'), M = [[0, 1], [p, 1]].
     Two Gauss points p_1, p_2 give Omega = (h/2)(M_1 + M_2) + (sqrt 3/12) h^2 [M_2, M_1]
     = (h/2) I + N, with N = [[c - h/2, h], [h (p_1 + p_2)/2 + c, h/2 - c]] and
     c = (sqrt 3/12) h^2 (p_1 - p_2); then exp(Omega) = e^{h/2} (cosh d I + (sinh d/d) N),
-    d^2 = -det N.  ``h`` is one length for the stack or one per mode.
+    d^2 = -det N.  The arguments broadcast, one step per element.
     """
-    gauss = t + _GAUSS * h
+    gauss = t + np.multiply.outer(_GAUSS, h)
     p1, p2 = k2 * np.exp(a2 * gauss) + A + eig * np.exp(2.0 * gauss)
     c = math.sqrt(3.0) / 12.0 * h * h * (p1 - p2)
     n11, n21 = c - 0.5 * h, 0.5 * h * (p1 + p2) + c
     d = np.sqrt(n11 * n11 + h * n21)
     grow = np.exp(0.5 * h)
     cosh, sinhc = grow * np.cosh(d), grow * np.where(d == 0, 1.0, np.sinh(d) / d)  # sinh(0)/0 = 1
-    return cosh * u + sinhc * (n11 * u + h * w), cosh * w + sinhc * (n21 * u - n11 * w)
+    e = sinhc * np.array([[n11, h], [n21, -n11]])
+    e[0, 0] += cosh
+    e[1, 1] += cosh
+    return e
+
+
+def _plan(t0, t1, k2, a2, A):
+    """Each mode's step grid from t0 down to t1, a row of nodes per mode, padded by t1.
+
+    A step longer than ``_step_length`` at its top is halved, pass after pass, until
+    none is, so a mode's grid depends on that mode alone.  Mode m starts with one
+    step, keyed 2m, and its bottom node, keyed 2m + 1; halving the step keyed k
+    makes steps keyed 2k and 2k + 1, so the keys, shifted to the last pass, sort
+    the nodes of every grid into order.
+    """
+    mode = np.arange(len(t0))
+    top, h, key, allowed = t0, t0 - t1, 2 * mode, _step_length(t0, k2, a2, A)
+    done, passes = [(t1, 2 * mode + 1, 0)], 0
+    while top.size:
+        fits = h <= allowed
+        done.append((top[fits], key[fits], passes))
+        top, h, key, mode, allowed = (x[~fits] for x in (top, 0.5 * h, 2 * key, mode, allowed))
+        mid = top - h
+        allowed = np.concatenate([allowed, _step_length(mid, k2[mode], a2[mode], A[mode])])
+        top, h, key, mode = map(np.concatenate, ((top, mid), (h, h), (key, key + 1), (mode, mode)))
+        passes += 1
+    key = np.concatenate([k << (passes - depth) for _, k, depth in done])
+    order = np.argsort(key, kind="stable")
+    mode = key[order] >> (passes + 1)
+    col = np.arange(mode.size) - np.searchsorted(mode, mode)
+    nodes = np.repeat(t1[:, None], col.max() + 1, axis=1)
+    nodes[mode, col] = np.concatenate([t for t, _, _ in done])[order]
+    return nodes
+
+
+def _product(b, a):
+    """b a for 2x2 matrices b and 2 x n matrices a, elementwise over further axes, normalized.
+
+    Each product is scaled by a power of two to max-abs in [1/2, 1), exactly, and
+    that power is returned with it.
+    """
+    m = (b[:, :, None] * a).sum(axis=1)
+    _, power = np.frexp(np.abs(m).max(axis=(0, 1)))
+    return m * np.ldexp(1.0, -power), power
+
+
+def _window_samples(launches, k2, a2, A, eig):
+    """(u, x u') at each mode's window samples (``_launch``), and log2 of its scale there.
+
+    A mode's grid is padded by steps of length 0, whose propagators are identities.
+    Above the window its S step propagators are multiplied in pairs, in log2 S
+    passes.  Inside it the modes advance a step at a time, and each sample is read
+    from the last node at or above it by one propagator of its own length.
+    """
+    windows = np.array([window for window, _, _ in launches])
+    start, rows = np.array([t for _, t, _ in launches]), np.arange(len(launches))[:, None]
+    columns = k2[:, None], a2[:, None], A[:, None], eig[:, None]
+    t = _plan(start, windows[:, 0], k2, a2, A)
+    chain = _magnus_step(t[:, :-1], t[:, 1:] - t[:, :-1], *columns)
+    power = np.zeros(chain.shape[2:], dtype=int)
+    while chain.shape[3] > 1:  # the later step of each pair multiplies from the left
+        if chain.shape[3] % 2:  # the last step pairs with a step of length 0
+            identity = _magnus_step(t[:, -1:], np.zeros_like(t[:, -1:]), *columns)
+            chain = np.concatenate([chain, identity], axis=3)
+            power = np.pad(power, ((0, 0), (0, 1)))
+        chain, scale = _product(chain[..., 1::2], chain[..., 0::2])
+        power = power[:, 0::2] + power[:, 1::2] + scale
+    v, scale = _product(chain[..., 0], np.array([y for _, _, y in launches]).T[:, None])
+    t = _plan(windows[:, 0], windows[:, -1], k2, a2, A)
+    inside = _magnus_step(t[:, :-1], t[:, 1:] - t[:, :-1], *columns)
+    states, powers = [v], [power[:, 0] + scale]
+    for j in range(inside.shape[3]):
+        v, scale = _product(inside[..., j], v)
+        states.append(v)
+        powers.append(powers[-1] + scale)
+    node = rows, np.count_nonzero(t[:, None, :] >= windows[:, :, None], axis=2) - 1
+    reads, scale = _product(_magnus_step(t[node], windows - t[node], *columns),
+                            np.stack(states, axis=-1)[:, :, rows, node[1]])
+    return reads[:, 0], np.stack(powers, axis=-1)[node] + scale
 
 
 def deficiency_counts(modes: Sequence[Tuple[ModeOperator, int]]) -> List[int]:
-    """Half-line deficiency count of each (op, sign) pair, from one stacked inward integration.
+    """Half-line deficiency count of each (op, sign) pair, from its inward integration.
 
     A count is the dimension of {solutions of (op -+ i)u = 0, L2 at 0 and
     decaying at infinity}; ``sign=+1`` counts ker(op* + i), ``sign=-1``
@@ -209,64 +301,28 @@ def deficiency_counts(modes: Sequence[Tuple[ModeOperator, int]]) -> List[int]:
     fit window (``_launch``).  The indicial roots 1/2 +- nu only say which
     branch each envelope term removes; the exponent itself is measured.
 
-    The modes share each ``_magnus_step``, the shortest that the STEP_* rule
-    allows any active mode, and each mode is renormalized by its own scale
-    after it.  No step passes the next join or the deepest active window's
-    bottom.  Window samples are read by Magnus steps of their own length from
-    the start of the step that passes them, and a mode leaves once all are read.
+    Each mode takes Magnus steps on a grid of its own (``_plan``), so a batch fits
+    each mode bit for bit as a one-mode call does.  The modes go BLOCK at a time
+    (``_window_samples``).
     """
     modes = list(modes)
     if not all(op.mode_strength > 0 or op.params.alpha > 0 for op, _ in modes):
         raise UnsupportedConfigurationError(
             "need mode_strength > 0 or alpha > 0 for limit point at infinity")
-    eig = np.array([-1j if sign > 0 else 1j for _, sign in modes])  # (op +- i) u = 0 <=> u'' = (V -+ i) u
-    k2 = np.array([op.mode_strength**2 for op, _ in modes])
-    a2 = np.array([2.0 + 2.0 * op.params.alpha for op, _ in modes])
-    A = np.array([op.inverse_square_coeff for op, _ in modes])
-    nu = np.sqrt(A + 0.25 + 0j)
-    roots = np.array([0.5 + nu, 0.5 - nu])  # of lambda (lambda - 1) = A, one column per mode
-    launches = [_launch(op, e) for (op, _), e in zip(modes, eig)]
-    windows = np.array([window for window, _, _ in launches]).reshape(len(modes), WINDOW_POINTS)
-    starts = [start for _, start, _ in launches]
-    pending = sorted(range(len(modes)), key=lambda m: -starts[m])  # in order of joining
-    active, u, w = np.zeros(0, dtype=int), np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
-    log_scale, log_abs = np.zeros(len(modes)), np.empty_like(windows)  # log_abs: the fit's samples
-    t, regroup = math.inf, False
-    with np.errstate(divide="ignore", invalid="ignore"):  # p' = 0 or p'' = 0; sinh(d)/d at d = 0
-        while pending or active.size:
-            if not active.size:  # nothing to integrate down to the next start
-                t = starts[pending[0]]
-            while pending and starts[pending[0]] >= t:
-                m = pending.pop(0)
-                active, regroup = np.append(active, m), True
-                u, w = np.append(u, launches[m][2][0]), np.append(w, launches[m][2][1])
-            if regroup:  # the stack's constants, until the next join or leave
-                kk, aa, AA, ee, stack = k2[active], a2[active], A[active], eig[active], windows[active]
-                top, leave = stack[:, 0].max(), stack[:, -1].max()
-                floor = max(stack[:, -1].min(), starts[pending[0]] if pending else -math.inf)
-                regroup = False
-            # p = coupling + A -+ i e^{2t}: |p|, |p'| and |p''| are hypots of real and imaginary parts
-            coupling, rotation = kk * np.exp(aa * t), math.exp(2.0 * t)
-            p = np.hypot(coupling + AA, rotation)
-            drift = STEP_DRIFT * (p + 1.0) / np.hypot(aa * coupling, 2.0 * rotation)
-            bend = np.sqrt(STEP_BEND * (p + 1.0) / np.hypot(aa * aa * coupling, 4.0 * rotation))
-            h = np.minimum(np.minimum(drift, bend), STEP_EFOLDS / (np.sqrt(p) + 1.0)).min()
-            t_next = max(t - h, floor)
-            if t_next <= top:  # read the window samples in [t_next, t)
-                rows, cols = np.nonzero((stack >= t_next) & (stack < t))
-                m = active[rows]
-                su, sw = _magnus_step(t, stack[rows, cols] - t, kk[rows], aa[rows], AA[rows],
-                                      ee[rows], u[rows], w[rows])
-                log_abs[m, cols] = log_envelope(su, sw, roots[:, m]) + log_scale[m]
-            u, w = _magnus_step(t, t_next - t, kk, aa, AA, ee, u, w)
-            scale = np.maximum(np.abs(u), np.abs(w))
-            u, w, t = u / scale, w / scale, t_next
-            log_scale[active] += np.log(scale)
-            if t <= leave:  # some window's bottom is read
-                stay = stack[:, -1] < t
-                active, u, w, regroup = active[stay], u[stay], w[stay], True
-    fits = [fit_local_exponent(window, row) for window, row in zip(windows, log_abs)]
-    return [int(square_integrable_at_zero(gamma, residual)) for gamma, residual in fits]
+    counts = []
+    for block in (modes[lo:lo + BLOCK] for lo in range(0, len(modes), BLOCK)):
+        eig = np.array([-1j if sign > 0 else 1j for _, sign in block])  # (op +- i) u = 0 <=> u'' = (V -+ i) u
+        k2, a2, A = np.array([(op.mode_strength**2, 2.0 + 2.0 * op.params.alpha,
+                               op.inverse_square_coeff) for op, _ in block]).T
+        nu = np.sqrt(A + 0.25 + 0j)
+        roots = np.array([0.5 + nu, 0.5 - nu])[:, :, None]  # of lambda (lambda - 1) = A, a row per mode
+        launches = [_launch(op, e) for (op, _), e in zip(block, eig)]
+        with np.errstate(divide="ignore", invalid="ignore"):  # p' = 0 or p'' = 0; sinh(d)/d at d = 0
+            (u, xu_prime), power = _window_samples(launches, k2, a2, A, eig)
+        log_abs = log_envelope(u, xu_prime, roots) + math.log(2.0) * power
+        counts += [int(square_integrable_at_zero(*fit_local_exponent(window, row)))
+                   for (window, _, _), row in zip(launches, log_abs)]
+    return counts
 
 
 def numeric_deficiency_count(op: ModeOperator, sign: int) -> int:
@@ -303,8 +359,8 @@ class DeficiencyReport:
 def aggregate_deficiency(params: GrushinParams, k_max: int) -> DeficiencyReport:
     """Per-mode deficiency table over k = 1..k_max and the aggregate verdict.
 
-    Every mode is counted by one ``deficiency_counts`` call, so the modes
-    share one stacked inward integration.  Only the sign +1 is integrated:
+    Every mode is counted by one ``deficiency_counts`` call, which integrates
+    the modes together in blocks.  Only the sign +1 is integrated:
     the operator is real, so (op - i)u = 0 is the complex conjugate of
     (op + i)u = 0, its solutions are the conjugates, and ``count_minus`` is
     ``count_plus``.  The left half-line operator is carried to the right one

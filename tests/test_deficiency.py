@@ -7,6 +7,7 @@ from grushin.params import GrushinParams, Verdict, classify, discriminant
 from grushin.deficiency import (
     UnsupportedConfigurationError,
     START_EFOLDS,
+    WINDOW_POINTS,
     aggregate_deficiency,
     classify_endpoint_zero,
     deficiency_counts,
@@ -264,8 +265,8 @@ def _batch_matches_one_mode_calls(monkeypatch, params, ks):
 
 
 def test_batch_matches_one_mode_calls(monkeypatch):
-    # the stacked integration shares its steps across modes, each as short as the
-    # most demanding active mode needs; each mode must still read as alone
+    # one call integrates many modes, each on its own grid; each mode must still read
+    # as alone
     rng = np.random.default_rng(9)
     draws = 0
     while draws < 6:
@@ -279,14 +280,14 @@ def test_batch_matches_one_mode_calls(monkeypatch):
 
 def test_batch_with_far_apart_windows_matches_one_mode_calls(monkeypatch):
     # at alpha = -0.99 the windows of k = 1..8 lie up to ~200 apart in ln x, so
-    # modes leave the stack while others are still far from theirs
+    # some modes are read while others are still far from their windows
     _batch_matches_one_mode_calls(monkeypatch, GrushinParams(-0.99, 2, 0.0), range(1, 9))
 
 
 def test_batch_bridges_a_gap_between_windows(monkeypatch):
-    # modes of different operators may share a batch; the alpha = 2 mode leaves the
-    # stack at ln x ~ -29, long before the alpha = -0.99 mode joins it near -60, so
-    # each mode is integrated exactly as alone
+    # modes of different operators may share a batch; the alpha = 2 mode's window ends
+    # at ln x ~ -29, long before the alpha = -0.99 mode starts near -60, and each
+    # mode is integrated exactly as alone
     fits = _spy_on_fits(monkeypatch)
     ops = [mode_operator(GrushinParams(2.0, 1, 0.0), 1), mode_operator(GrushinParams(-0.99, 2, 0.0), 1)]
     assert deficiency_counts([(op, +1) for op in ops]) == [0, 1]
@@ -294,6 +295,30 @@ def test_batch_bridges_a_gap_between_windows(monkeypatch):
     fits.clear()
     assert [numeric_deficiency_count(op, +1) for op in ops] == [0, 1]
     assert batch == [fit for _, fit in fits]
+
+
+def test_mixed_batch_matches_one_mode_calls_bit_for_bit(monkeypatch):
+    # every mode's step grid depends on that mode alone, so a batch of different
+    # operators and both signs, more than one BLOCK of them, fits each mode exactly
+    # as its one-mode call does
+    rng = np.random.default_rng(14)
+    modes = []
+    while len(modes) < deficiency.BLOCK + 6:
+        alpha, n, c = rng.uniform(-0.95, 2.5), int(rng.integers(1, 4)), rng.uniform(-2.0, 2.0)
+        if abs(discriminant(alpha, n, c) - 4.0) < 1e-3:
+            continue
+        op = mode_operator(GrushinParams(alpha, n, c), rng.uniform(0.5, 40.0))
+        modes.append((op, int(rng.choice([1, -1]))))
+    fits = _spy_on_fits(monkeypatch)
+    batch = deficiency_counts(modes)
+    batch_fits = [fit for _, fit in fits]
+    fits.clear()
+    assert batch == [numeric_deficiency_count(op, sign) for op, sign in modes]
+    assert batch_fits == [fit for _, fit in fits]
+
+
+def test_empty_batch_counts_nothing():
+    assert deficiency_counts([]) == []
 
 
 def test_integrator_reads_the_closed_form_exponent(monkeypatch):
@@ -304,7 +329,7 @@ def test_integrator_reads_the_closed_form_exponent(monkeypatch):
     fits = _spy_on_fits(monkeypatch)
     rng = np.random.default_rng(12)
     draws = 0
-    while draws < 120:
+    while draws < 300:
         alpha, n, c = rng.uniform(-0.95, 2.5), int(rng.integers(1, 4)), rng.uniform(-2.0, 2.0)
         k = rng.uniform(0.5, 40.0)
         nu = np.sqrt(complex(discriminant(alpha, n, c) / 4.0))
@@ -320,16 +345,18 @@ def test_integrator_reads_the_closed_form_exponent(monkeypatch):
 @pytest.mark.parametrize("alpha", [-0.99, -0.999])
 def test_cost_is_bounded_near_alpha_minus_one(monkeypatch, alpha):
     # the fit windows lie up to ~1e4 units of ln x below the starts; where p barely
-    # changes a Magnus step is long and exact, so the step count stays bounded
-    steps = []
+    # changes a Magnus step is long and exact, so the steps stay bounded.  One
+    # _magnus_step call makes many propagators, one per element of h, padding
+    # included; every mode also reads its WINDOW_POINTS samples with one each
+    propagators = []
     step = deficiency._magnus_step
 
     def counting(*args):
-        steps.append(args[1])
+        propagators.append(np.size(args[1]))
         return step(*args)
 
     monkeypatch.setattr(deficiency, "_magnus_step", counting)
     rep = aggregate_deficiency(GrushinParams(alpha, 2, 0.5), 8)
     assert rep.aggregate == "infinite"
     assert all(cp == cm == 2 for _, cp, cm in rep.per_mode)
-    assert len(steps) <= 1000
+    assert sum(propagators) - 8 * WINDOW_POINTS <= 8 * 1000

@@ -73,6 +73,7 @@ Points = Union[float, np.ndarray]  # a float gives a float, an array an array of
 
 _ASYMPT_X = 400.0  # beyond this the large-argument expansions are exact to machine precision
 _SERIES_TERMS = 800  # cap on the terms of one ascending series
+_ASYMPT_TERMS = 40  # cap on the terms of one large-argument expansion
 _LOG_FACTORIAL = sp.gammaln(np.arange(_SERIES_TERMS) + 1.0)  # ln m!
 
 
@@ -143,7 +144,7 @@ def _iv_series(mu: complex, x: Points):
     return out
 
 
-def _asympt_coeffs(mu: complex, x: float, signs: bool, kmax: int = 40) -> complex:
+def _asympt_coeffs(mu: complex, x: float, signs: bool) -> complex:
     """sum_k (+-1)^k a_k(mu) / x^k with a_k = prod_j (4 mu^2 - (2j-1)^2) / (k! 8^k).
 
     Truncates at the smallest term (optimal truncation); for x >= 400 the
@@ -153,7 +154,7 @@ def _asympt_coeffs(mu: complex, x: float, signs: bool, kmax: int = 40) -> comple
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
     best = abs(term)
-    for k in range(1, kmax):
+    for k in range(1, _ASYMPT_TERMS):
         term = term * (four_mu2 - (2 * k - 1) ** 2) / (k * 8.0 * x)
         size = abs(term)
         if size > best:
@@ -509,7 +510,11 @@ def critical_delta(op: BesselModelOp) -> float:
     return (1.0 - op.a) / 2.0 - re_sqrt / 2.0 + 0.5
 
 
-def weighted_L2_membership_oracle(op: BesselModelOp, which: str, borderline_tol: float = 1e-3) -> str:
+#: the membership oracle is inconclusive within this (or its fit residual) of the L^2 borderline
+BORDERLINE_TOL = 1e-3
+
+
+def weighted_L2_membership_oracle(op: BesselModelOp, which: str) -> str:
     """Brute-force square-integrability of x^{-delta} u_i near 0 and at infinity.
 
     Growth at infinity is probed at two points deep in the exponential regime
@@ -517,7 +522,7 @@ def weighted_L2_membership_oracle(op: BesselModelOp, which: str, borderline_tol:
     fits the exponent gamma of ``deficiency.log_envelope`` of (u, x u') on
     WINDOW_POINTS points of ln x, and x^{-delta} u is L^2 there iff
     gamma - delta > -1/2.  Returns "true" / "false" / "inconclusive": the last
-    when gamma - delta is within max(``borderline_tol``, the fit's residual)
+    when gamma - delta is within max(BORDERLINE_TOL, the fit's residual)
     of -1/2, or when no window fits above the underflow floor.
 
     The window is the deepest one, at most WINDOW_LENGTH long, that keeps
@@ -558,6 +563,6 @@ def weighted_L2_membership_oracle(op: BesselModelOp, which: str, borderline_tol:
     log_abs = log_envelope(pair.u(which, x), x * pair.du(which, x), op.indicial_roots())
     gamma, residual = fit_local_exponent(t, log_abs)
     margin = gamma - op.delta + 0.5
-    if abs(margin) <= max(borderline_tol, residual):
+    if abs(margin) <= max(BORDERLINE_TOL, residual):
         return "inconclusive"
     return "true" if margin > 0 else "false"

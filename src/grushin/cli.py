@@ -52,21 +52,31 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NONCONVERGENT = 3
 
+#: most steps a 'start:stop:step' grid may span
+MAX_GRID_VALUES = 10**6
+
 
 class UsageError(ValueError):
     pass
 
 
 def parse_grid(spec: str) -> List[float]:
-    """'v' or 'start:stop:step', endpoints inclusive within 1e-12."""
+    """'v' or 'start:stop:step', endpoints inclusive within 1e-12.
+
+    A grid spans at most MAX_GRID_VALUES steps, and its start, stop and step are finite.
+    """
     parts = spec.split(":")
     if len(parts) == 1:
         return [float(parts[0])]
     if len(parts) != 3:
         raise UsageError(f"grid must be 'v' or 'start:stop:step', got {spec!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise UsageError(f"bad grid {spec!r}: start, stop and step must be finite")
     if step <= 0 or stop < start:
         raise UsageError(f"bad grid {spec!r}: need step > 0 and stop >= start")
+    if (stop - start) / step > MAX_GRID_VALUES:
+        raise UsageError(f"bad grid {spec!r}: more than {MAX_GRID_VALUES} values")
     out = []
     k = 0
     while True:
@@ -355,7 +365,8 @@ def cmd_indexset(args) -> int:
     return EXIT_OK
 
 
-def _metric_from_file(path: str) -> curvature_mod.ConformalFactor:
+def _metric_from_file(path: str, alpha: float, n: int) -> curvature_mod.WarpedMetric:
+    """The warped metric whose conformal factor f(x, y_1) has the terms in file ``path``."""
     terms = _read_input(path, lambda data: [
         tuple(map(float, (t["x_power"], t["mode"], t.get("cos", 0.0), t.get("sin", 0.0))))
         for t in data["conformal_factor"]["terms"]])
@@ -366,22 +377,7 @@ def _metric_from_file(path: str) -> curvature_mod.ConformalFactor:
             total += x**m * (a * math.cos(k * y0) + b * math.sin(k * y0))
         return total
 
-    def df_dx(x, y):
-        total, y0 = 0.0, float(np.atleast_1d(y)[0])
-        for m, k, a, b in terms:
-            if m != 0:
-                total += m * x ** (m - 1) * (a * math.cos(k * y0) + b * math.sin(k * y0))
-        return total
-
-    def grad_y(x, y):
-        total, y0 = 0.0, float(np.atleast_1d(y)[0])
-        for m, k, a, b in terms:
-            total += x**m * (-a * k * math.sin(k * y0) + b * k * math.cos(k * y0))
-        out = np.zeros(np.atleast_1d(y).size)
-        out[0] = total
-        return out
-
-    return curvature_mod.ConformalFactor(f=f, df_dx=df_dx, grad_y=grad_y)
+    return curvature_mod.conformal_metric(f, alpha, n)
 
 
 def cmd_curvature(args) -> int:
@@ -392,8 +388,7 @@ def cmd_curvature(args) -> int:
         "frame_form_coefficient": curvature_mod.flat_model_scalar_frame_form(p),
     }
     if args.metric is not None:
-        factor = _metric_from_file(args.metric)
-        metric = factor.metric(args.alpha, args.n)
+        metric = _metric_from_file(args.metric, args.alpha, args.n)
         grid = parse_grid(args.x_grid)
         report = curvature_mod.asymptotic_check(metric, grid, y=np.full(args.n, args.y))
         payload["asymptotic_check"] = report.to_json_dict()
@@ -408,21 +403,16 @@ def cmd_bessel(args) -> int:
     from . import bessel as bessel_mod  # imports scipy
 
     kind = args.kind
+    plain, scaled, imaginary = {
+        "I": (bessel_mod.bessel_I, bessel_mod.bessel_I_scaled, False),
+        "K": (bessel_mod.bessel_K, bessel_mod.bessel_K_scaled, False),
+        "Itilde": (bessel_mod.bessel_I_tilde, bessel_mod.bessel_I_scaled, True),
+        "Ktilde": (bessel_mod.bessel_K_tilde, bessel_mod.bessel_K_scaled, True),
+    }[kind]
     if args.scaled:
-        if kind in ("I", "K"):
-            fn = bessel_mod.bessel_I_scaled if kind == "I" else bessel_mod.bessel_K_scaled
-            value = fn(args.x, args.nu)
-        else:
-            fn = bessel_mod.bessel_I_scaled if kind == "Itilde" else bessel_mod.bessel_K_scaled
-            value = fn(args.x, args.nu, imaginary_order=True)
+        value = scaled(args.x, args.nu, imaginary_order=imaginary)
     else:
-        fn = {
-            "I": bessel_mod.bessel_I,
-            "K": bessel_mod.bessel_K,
-            "Itilde": bessel_mod.bessel_I_tilde,
-            "Ktilde": bessel_mod.bessel_K_tilde,
-        }[kind]
-        value = fn(args.x, args.nu)
+        value = plain(args.x, args.nu)
     emit(
         to_json({"kind": kind, "x": args.x, "nu": args.nu, "scaled": args.scaled, "value": value}),
         args.out,

@@ -38,6 +38,7 @@ __all__ = [
     "FrameChristoffel",
     "WarpedMetric",
     "ConformalFactor",
+    "conformal_metric",
     "InvalidConnectionError",
     "flat_model_scalar",
     "flat_model_frame",
@@ -50,6 +51,8 @@ __all__ = [
 
 _FD_WEIGHTS = (1.0 / 12.0, -2.0 / 3.0, 0.0, 2.0 / 3.0, -1.0 / 12.0)
 _FD_OFFSETS = (-2.0, -1.0, 0.0, 1.0, 2.0)
+#: finite-difference step of both curvature routes, relative to the coordinate (at least 1)
+FD_STEP = 1e-4
 #: remainder powers of asymptotic_check closer than this are not told apart by its fit
 _POWER_GAP = 0.25
 
@@ -153,31 +156,27 @@ def christoffel_from_structure_constants(
     return FrameChristoffel(dim=dim, gamma=gamma, frame=frame)
 
 
-def scalar_from_christoffel(
-    chr_data: FrameChristoffel,
-    step: float = 1e-4,
-    check_compatibility: bool = True,
-) -> Callable[[float, np.ndarray], float]:
+def scalar_from_christoffel(chr_data: FrameChristoffel) -> Callable[[float, np.ndarray], float]:
     """Pointwise scalar curvature from the frame formula.
 
+    The symbols are checked for metric compatibility at every point.
     Directional derivatives X_B[Gamma^B_{AA}] are taken by fourth-order
     central differences along the coordinate flows, contracted with the frame
-    components; steps scale with the coordinate magnitude.
+    components; steps are FD_STEP times the coordinate magnitude (at least 1).
     """
     m = chr_data.dim
 
     def scalar(x: float, y) -> float:
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        if check_compatibility:
-            chr_data.check_compatibility(x, y)
+        chr_data.check_compatibility(x, y)
         G = np.asarray(chr_data.gamma(x, y), dtype=float)
         e = np.asarray(chr_data.frame(x, y), dtype=float)
 
-        hx = step * max(abs(x), 1.0)
+        hx = FD_STEP * max(abs(x), 1.0)
         dG = np.zeros((m, m, m, m))  # dG[c] = partial of G along coordinate c
         dG[0] = _fd4(lambda t: chr_data.gamma(t, y), x, hx)
         for c in range(1, m):
-            hy = step * max(float(abs(y[c - 1])), 1.0)
+            hy = FD_STEP * max(float(abs(y[c - 1])), 1.0)
 
             def shifted(t, c=c):
                 yy = y.copy()
@@ -201,9 +200,7 @@ def scalar_from_christoffel(
 # coordinate oracle
 
 
-def coordinate_scalar_curvature(
-    metric: Callable[[np.ndarray], np.ndarray], u: np.ndarray, step: float = 1e-4
-) -> float:
+def coordinate_scalar_curvature(metric: Callable[[np.ndarray], np.ndarray], u: np.ndarray) -> float:
     """Scalar curvature at u from fourth-order differences of the metric alone.
 
     Christoffels and their derivatives are assembled from dg and d^2 g
@@ -215,7 +212,7 @@ def coordinate_scalar_curvature(
     """
     u = np.asarray(u, dtype=float)
     m = u.size
-    hs = np.array([step * max(abs(c), 1.0) for c in u])
+    hs = np.array([FD_STEP * max(abs(c), 1.0) for c in u])
 
     def g_at(*moves):
         v = u.copy()
@@ -275,39 +272,21 @@ class WarpedMetric:
         return g
 
 
+def conformal_metric(f: Callable[[float, np.ndarray], float], alpha: float, n: int) -> WarpedMetric:
+    """The warped metric with g_xZ = f(x, y) Id."""
+    return WarpedMetric(alpha=alpha, n=n, g_xZ=lambda x, y: float(f(x, y)) * np.eye(n))
+
+
 @dataclass(frozen=True)
 class ConformalFactor:
-    """g_xZ = f(x, y) Id with optional analytic derivatives (FD fallback)."""
+    """g_xZ = f(x, y) Id, with the analytic derivatives f_x and grad_y f."""
 
     f: Callable[[float, np.ndarray], float]
-    df_dx: Optional[Callable[[float, np.ndarray], float]] = None
-    grad_y: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-
-    def dx(self, x: float, y: np.ndarray) -> float:
-        if self.df_dx is not None:
-            return float(self.df_dx(x, y))
-        h = 1e-5 * max(abs(x), 1.0)
-        return float(_fd4(lambda t: np.array(self.f(t, y)), x, h))
-
-    def dy(self, x: float, y: np.ndarray) -> np.ndarray:
-        if self.grad_y is not None:
-            return np.asarray(self.grad_y(x, y), dtype=float)
-        out = np.zeros(y.size)
-        for c in range(y.size):
-            h = 1e-5 * max(abs(float(y[c])), 1.0)
-
-            def shifted(t, c=c):
-                yy = y.copy()
-                yy[c] = t
-                return np.array(self.f(x, yy))
-
-            out[c] = float(_fd4(shifted, float(y[c]), h))
-        return out
+    df_dx: Callable[[float, np.ndarray], float]
+    grad_y: Callable[[float, np.ndarray], np.ndarray]
 
     def metric(self, alpha: float, n: int) -> WarpedMetric:
-        return WarpedMetric(
-            alpha=alpha, n=n, g_xZ=lambda x, y: float(self.f(x, y)) * np.eye(n)
-        )
+        return conformal_metric(self.f, alpha, n)
 
 
 def conformal_frame_christoffel(alpha: float, n: int, factor: ConformalFactor) -> FrameChristoffel:
@@ -321,8 +300,8 @@ def conformal_frame_christoffel(alpha: float, n: int, factor: ConformalFactor) -
 
     def cbar(x: float, y: np.ndarray) -> np.ndarray:
         f = float(factor.f(x, y))
-        fx = factor.dx(x, y)
-        fy = factor.dy(x, y)
+        fx = factor.df_dx(x, y)
+        fy = factor.grad_y(x, y)
         w = abs(x) ** alpha / math.sqrt(f)  # X_i = w d/dy_i
         c = np.zeros((m, m, m))
         rate = alpha / x - fx / (2.0 * f)
@@ -377,7 +356,6 @@ def asymptotic_check(
     metric: WarpedMetric,
     x_grid: Sequence[float],
     y: Optional[np.ndarray] = None,
-    step: float = 1e-4,
 ) -> AsymptoticReport:
     """Fit the limit of x^2 S(x) on a grid in (0, 0.5] and the leading remainder power.
 
@@ -397,7 +375,7 @@ def asymptotic_check(
         raise ValueError("x_grid must lie in (0, 0.5]")
     y = np.zeros(metric.n) if y is None else np.asarray(y, dtype=float)
     vals = np.array(
-        [x * x * coordinate_scalar_curvature(metric.full_matrix, np.concatenate([[x], y]), step)
+        [x * x * coordinate_scalar_curvature(metric.full_matrix, np.concatenate([[x], y]))
          for x in xs]
     )
     an = metric.alpha * metric.n

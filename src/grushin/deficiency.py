@@ -29,6 +29,8 @@ import numpy as np
 
 from .params import GrushinParams
 
+#: nu^2 this close to 1 is the critical borderline nu = 1 of classify_endpoint_zero
+CRITICAL_TOL = 1e-12
 #: WKB e-folds between the fit window and the start of the inward integration
 START_EFOLDS = 40.0
 #: the couplings k^2 x^{2+2 alpha} and |eig| x^2 stay below this on the fit window
@@ -36,9 +38,9 @@ WINDOW_COUPLING = 1e-8
 #: length of the fit window in t = ln x, and its number of samples
 WINDOW_LENGTH = 20.0
 WINDOW_POINTS = 201
-#: Magnus step rule: in one step p may change by STEP_DRIFT of |p| + 1 through its slope and
-#: STEP_BEND through its curvature, and sqrt(p) may gain STEP_EFOLDS e-folds
-STEP_DRIFT, STEP_BEND, STEP_EFOLDS = 0.05, 0.01, 50.0
+#: Magnus step rule: in one step p may change by STEP_DRIFT of |p| + 1 through its slope,
+#: and sqrt(p) may gain STEP_EFOLDS e-folds
+STEP_DRIFT, STEP_EFOLDS = 0.05, 50.0
 #: the two Gauss points of a Magnus step, as fractions of it
 _GAUSS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 #: modes integrated together, so a request's arrays grow with BLOCK, not with its modes
@@ -97,14 +99,14 @@ class EndpointClassification:
     nu_squared: float
 
 
-def classify_endpoint_zero(op: ModeOperator, tol: float = 1e-12) -> EndpointClassification:
+def classify_endpoint_zero(op: ModeOperator) -> EndpointClassification:
     """Weyl alternative at x = 0 for an inverse-square potential.
 
     limit circle iff nu^2 = A + 1/4 < 1 (mu < 4); the borderline nu = 1 is
-    limit point and flagged critical.
+    limit point and flagged critical, within CRITICAL_TOL.
     """
     nu2 = op.nu_squared
-    if abs(nu2 - 1.0) <= tol:
+    if abs(nu2 - 1.0) <= CRITICAL_TOL:
         return EndpointClassification("limit_point", critical=True, nu_squared=nu2)
     kind = "limit_circle" if nu2 < 1.0 else "limit_point"
     return EndpointClassification(kind, critical=False, nu_squared=nu2)
@@ -183,13 +185,12 @@ def _launch(op: ModeOperator, eig: complex):
 def _step_length(t, k2, a2, A):
     """The longest Magnus step down from t that the STEP_* rule allows, elementwise.
 
-    p = coupling + A -+ i e^{2t}: |p|, |p'| and |p''| are hypots of real and imaginary parts.
+    p = coupling + A -+ i e^{2t}: |p| and |p'| are hypots of real and imaginary parts.
     """
     coupling, rotation = k2 * np.exp(a2 * t), np.exp(2.0 * t)
     p = np.hypot(coupling + A, rotation)
     drift = STEP_DRIFT * (p + 1.0) / np.hypot(a2 * coupling, 2.0 * rotation)
-    bend = np.sqrt(STEP_BEND * (p + 1.0) / np.hypot(a2 * a2 * coupling, 4.0 * rotation))
-    return np.minimum(np.minimum(drift, bend), STEP_EFOLDS / (np.sqrt(p) + 1.0))
+    return np.minimum(drift, STEP_EFOLDS / (np.sqrt(p) + 1.0))
 
 
 def _magnus_step(t, h, k2, a2, A, eig):
@@ -317,7 +318,7 @@ def deficiency_counts(modes: Sequence[Tuple[ModeOperator, int]]) -> List[int]:
         nu = np.sqrt(A + 0.25 + 0j)
         roots = np.array([0.5 + nu, 0.5 - nu])[:, :, None]  # of lambda (lambda - 1) = A, a row per mode
         launches = [_launch(op, e) for (op, _), e in zip(block, eig)]
-        with np.errstate(divide="ignore", invalid="ignore"):  # p' = 0 or p'' = 0; sinh(d)/d at d = 0
+        with np.errstate(divide="ignore", invalid="ignore"):  # p' = 0; sinh(d)/d at d = 0
             (u, xu_prime), power = _window_samples(launches, k2, a2, A, eig)
         log_abs = log_envelope(u, xu_prime, roots) + math.log(2.0) * power
         counts += [int(square_integrable_at_zero(*fit_local_exponent(window, row)))

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .frobenius import FrobeniusExpansion, expand, flat_model_series_data
-from .params import GrushinParams, complex_to_json, discriminant, indicial_data
+from .params import GrushinParams, complex_to_json, discriminant
 
 __all__ = [
     "BoundaryJet",
@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 _COLS = ("r+", "r-", "l+", "l-")
+#: trapezoidal points in y of the boundary integral in greens_identity_check
+GREENS_QUADRATURE_POINTS = 128
 
 
 class CheckFailedError(RuntimeError):
@@ -352,45 +354,16 @@ def extension_hypotheses(params: GrushinParams) -> dict:
     }
 
 
-def h_function(
-    params: GrushinParams,
-    flat: bool = True,
-    divergence_term: Optional[float] = None,
-    curvature_flux_term: Optional[float] = None,
-    literal_denominator: bool = False,
-) -> Callable[[object], float]:
+def h_function(params: GrushinParams) -> float:
     """The boundary weight h entering the mu_pos pairing measure.
 
-    Flat model: the divergence of d/dx vanishes and x^2 S is exactly constant,
-    so h = sqrt(mu) (constant on the singular set).  The general formula
-    h = sqrt(mu) + (div * lambda_- - c * d_x(x^2 S)) / denominator is exposed
-    behind explicit keywords; the denominator written in the source is
-    p(lambda_-), which is identically zero, so requesting it
-    (``literal_denominator=True``) raises, and the regularized choice
-    p'(lambda_-) is used instead.
+    On the flat model the divergence of d/dx vanishes and x^2 S is exactly
+    constant, so h = sqrt(mu), constant on the singular set.
     """
     mu = discriminant(params.alpha, params.n, params.c)
     if not (0.0 < mu < 4.0):
         raise ValueError(f"h is defined for mu in (0, 4); got mu = {mu}")
-    ind = indicial_data(params)
-    if flat:
-        value = math.sqrt(mu)
-        return lambda y=None: value
-    if divergence_term is None or curvature_flux_term is None:
-        raise ValueError("general h needs divergence_term and curvature_flux_term")
-    if literal_denominator:
-        p_at_root = ind.p(ind.lambda_minus)
-        raise ValueError(
-            f"literal denominator p(lambda_-) = {p_at_root} vanishes by definition "
-            "of an indicial root; use the p'(lambda_-) regularization"
-        )
-    denom = ind.p_prime(ind.lambda_minus).real
-    if denom == 0.0:
-        raise ValueError("p'(lambda_-) = 0 (double root): degenerate denominator")
-    value = math.sqrt(mu) + (
-        divergence_term * ind.lambda_minus.real - params.c * curvature_flux_term
-    ) / denom
-    return lambda y=None: value
+    return math.sqrt(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +430,6 @@ def greens_identity_check(
     u: JetRealization,
     v: JetRealization,
     eps_sequence: Sequence[float],
-    n_quad: int = 128,
 ) -> Tuple[complex, complex, float]:
     """Evaluate the boundary pairing at x = +-eps and extrapolate to eps -> 0.
 
@@ -474,7 +446,7 @@ def greens_identity_check(
     if eps.size < 3:
         raise ValueError("need at least 3 epsilon values")
     an = params.alpha * params.n
-    y = np.linspace(0.0, 2.0 * math.pi, n_quad, endpoint=False)
+    y = np.linspace(0.0, 2.0 * math.pi, GREENS_QUADRATURE_POINTS, endpoint=False)
     mu = discriminant(params.alpha, params.n, params.c)
 
     values = []
@@ -484,7 +456,7 @@ def greens_identity_check(
             fu, dfu = u.boundary_field(e, y, side)
             fv, dfv = v.boundary_field(e, y, side)
             integrand = np.conj(fu) * dfv - fv * np.conj(dfu)
-            total += np.sum(integrand) * (2.0 * math.pi / n_quad) * e ** (-an)
+            total += np.sum(integrand) * (2.0 * math.pi / GREENS_QUADRATURE_POINTS) * e ** (-an)
         values.append(complex(total))
     values = np.asarray(values)
 
@@ -503,7 +475,7 @@ def greens_identity_check(
 
     closed = asymmetry_form(u.jet, v.jet, params)
     if 0 <= mu < 4:
-        closed = closed * h_function(params)(None)
+        closed = closed * h_function(params)
     scale = max(abs(closed), abs(numeric), 1e-300)
     rel = abs(numeric - closed) / scale
     return numeric, closed, rel

@@ -15,7 +15,7 @@ When the roots are separated by a lattice element (resonance) the minus-root
 series picks up the classical log partner u_- = C u_+ log x + sum a_theta^-
 x^{lambda_- + theta}; C is determined by the recursion (and may come out
 zero, e.g. the flat model whose couplings step by 2(1+alpha) while the gap is
-sqrt(mu)).  The undetermined coefficient at the resonant grade defaults to
+sqrt(mu)).  The undetermined coefficient at the resonant grade is
 zero; a double root takes C = 1 with a zero grade-0 partner coefficient.
 
 Everything here is exact linear algebra on truncated series; the residual
@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 _GRADE_TOL = 1e-9
+#: how far below Re(lambda) + theta_next the certified residual exponent may fall
+CERTIFICATE_SLACK = 0.05
 
 
 class ResonantCaseError(ValueError):
@@ -183,13 +185,11 @@ def expand(
     root: str,
     seed: np.ndarray,
     cutoff: float,
-    resonant_free_coeff: Optional[np.ndarray] = None,
 ) -> FrobeniusExpansion:
     """Solve the graded recursion for the expansion seeded at the chosen root.
 
-    ``resonant_free_coeff`` overrides the undetermined coefficient at the
-    resonant grade (default zero); for a double root it overrides the grade-0
-    partner coefficient instead.
+    The undetermined coefficient at the resonant grade is zero; for a double
+    root the grade-0 partner coefficient is.
     """
     if root not in ("plus", "minus"):
         raise ValueError(f"root must be 'plus' or 'minus', got {root}")
@@ -265,12 +265,7 @@ def expand(
     C: Optional[complex] = None
     if double_root:
         C = 1.0 + 0.0j
-        a0 = (
-            np.zeros(data.dim, dtype=complex)
-            if resonant_free_coeff is None
-            else np.asarray(resonant_free_coeff, dtype=complex)
-        )
-        solved[0.0] = a0
+        solved[0.0] = np.zeros(data.dim, dtype=complex)
         start = [g for g in grades if g > _GRADE_TOL]
         for phi in start:
             rhs = accumulated(solved, phi) + C * log_forcing(phi)
@@ -295,11 +290,7 @@ def expand(
                         "resonant forcing not proportional to the seed coefficient; "
                         "cannot absorb it into a scalar log constant"
                     )
-                solved[phi] = (
-                    np.zeros(data.dim, dtype=complex)
-                    if resonant_free_coeff is None
-                    else np.asarray(resonant_free_coeff, dtype=complex)
-                )
+                solved[phi] = np.zeros(data.dim, dtype=complex)
                 continue
             rhs = accumulated(solved, phi)
             if C is not None:
@@ -375,13 +366,12 @@ def residual_certificate(
     expansion: FrobeniusExpansion,
     data: OperatorSeriesData,
     x_grid: Iterable[float],
-    slack: float = 0.05,
 ) -> ResidualCertificate:
     """Certify the expansion by the decay rate of Q(truncated series).
 
     The operator is applied symbolically in x, solved grades cancel exactly,
     and the leftover terms are evaluated on the grid; the fitted slope of
-    log ||residual|| against log x must reach Re(lambda) + theta_next - slack.
+    log ||residual|| against log x must reach Re(lambda) + theta_next - CERTIFICATE_SLACK.
     """
     x = np.asarray(sorted(x_grid), dtype=float)
     if x.size < 3 or x.min() <= 0 or x.max() > 0.5 + 1e-12:
@@ -444,5 +434,5 @@ def residual_certificate(
         expected_exponent=expected,
         log_power=log_power,
         exact_zero=False,
-        passed=fitted >= expected - slack,
+        passed=fitted >= expected - CERTIFICATE_SLACK,
     )

@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 _TOL = 1e-12
+#: a weight delta this close to a line Re(zeta) + 1/2 of the boundary spectrum is on it
+_WEIGHT_TOL = 1e-9
 
 
 class TruncationRequired(ValueError):
@@ -524,7 +526,7 @@ def boundedness_predicate(
 
 
 def parametrix_indexsets(
-    boundary_spectrum: IndexSet, delta: float, tol: float = 1e-9
+    boundary_spectrum: IndexSet, delta: float
 ) -> Tuple[DoubleFamily, DoubleFamily, DoubleFamily]:
     """Index families (G, ker-projector, coker-projector) of the parametrix.
 
@@ -539,7 +541,7 @@ def parametrix_indexsets(
     if not boundary_spectrum.is_finite:
         raise ValueError("boundary spectrum must be a finite index set")
     for z, _ in boundary_spectrum.points:
-        if abs(z.real + 0.5 - delta) < tol:
+        if abs(z.real + 0.5 - delta) < _WEIGHT_TOL:
             raise WeightOnSpectrumError(
                 f"delta = {delta} lies on the forbidden line Re({z}) + 1/2"
             )

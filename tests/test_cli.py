@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -301,6 +302,15 @@ def test_usage_exit_codes(tmp_path, capsys):
         code, out, err = run_cli([*argv, str(tmp_path / name)], capsys)
         assert (code, out) == (2, ""), (argv, name)
         assert "error:" in err and err.count("\n") == 1, (argv, name, err)
+
+
+@pytest.mark.parametrize("spec", ["0:1:nan", "nan:1:0.1", "0:inf:1", "0:1:1e-300"])
+def test_grids_that_never_end_are_usage_errors(spec, capsys):
+    # unguarded, each of these grows the list of grid values until memory runs out
+    start = time.perf_counter()
+    code, out, err = run_cli(["classify", f"--alpha={spec}", "--n", "1", "--c", "0"], capsys)
+    assert (code, out) == (2, "") and "usage error: bad grid" in err
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(

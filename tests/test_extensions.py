@@ -236,16 +236,10 @@ def test_cayley_transform_injective_on_samples():
 
 
 def test_h_function_flat():
-    assert h_function(GrushinParams(0.5, 1, 0.0))(None) == pytest.approx(1.5)
-    assert h_function(GrushinParams(1.0, 1, 3.0 / 16.0))(None) == pytest.approx(1.0)
+    assert h_function(GrushinParams(0.5, 1, 0.0)) == pytest.approx(1.5)
+    assert h_function(GrushinParams(1.0, 1, 3.0 / 16.0)) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         h_function(MU_NEG)  # mu < 0
-    with pytest.raises(ValueError, match="indicial root"):
-        h_function(MU_POS, flat=False, divergence_term=0.0, curvature_flux_term=0.0,
-                   literal_denominator=True)
-    # regularized general formula reduces to sqrt(mu) when both terms vanish
-    h = h_function(MU_POS, flat=False, divergence_term=0.0, curvature_flux_term=0.0)
-    assert h(None) == pytest.approx(1.5)
 
 
 def test_extension_hypotheses_flags():

@@ -98,14 +98,16 @@ def _out_path(path: Optional[str]) -> Optional[str]:
 
 
 def emit(text: str, out: Optional[str]):
+    """Write ``text`` to stdout, or to the file ``out``; a file that cannot be written is a usage error."""
     target = _out_path(out)
     if target is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return
+    try:
         with open(target, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {target}: {exc.strerror}") from exc
 
 
 def to_json(payload: dict) -> str:
@@ -272,8 +274,8 @@ def _parse_complex(s: str) -> complex:
 
 def _parse_gamma_matrix(s: str) -> np.ndarray:
     vals = [float(v) for v in s.split(",")]
-    if len(vals) != 4:
-        raise UsageError("--Gamma takes 'h11,h22,re12,im12'")
+    if len(vals) != 4 or not all(map(math.isfinite, vals)):
+        raise UsageError(f"--Gamma takes four finite numbers 'h11,h22,re12,im12', got {s!r}")
     h11, h22, re12, im12 = vals
     z = complex(re12, im12)
     return np.array([[h11, z], [np.conj(z), h22]])
@@ -402,21 +404,15 @@ def cmd_curvature(args) -> int:
 def cmd_bessel(args) -> int:
     from . import bessel as bessel_mod  # imports scipy
 
-    kind = args.kind
     plain, scaled, imaginary = {
         "I": (bessel_mod.bessel_I, bessel_mod.bessel_I_scaled, False),
         "K": (bessel_mod.bessel_K, bessel_mod.bessel_K_scaled, False),
         "Itilde": (bessel_mod.bessel_I_tilde, bessel_mod.bessel_I_scaled, True),
         "Ktilde": (bessel_mod.bessel_K_tilde, bessel_mod.bessel_K_scaled, True),
-    }[kind]
-    if args.scaled:
-        value = scaled(args.x, args.nu, imaginary_order=imaginary)
-    else:
-        value = plain(args.x, args.nu)
-    emit(
-        to_json({"kind": kind, "x": args.x, "nu": args.nu, "scaled": args.scaled, "value": value}),
-        args.out,
-    )
+    }[args.kind]
+    value = scaled(args.x, args.nu, imaginary_order=imaginary) if args.scaled else plain(args.x, args.nu)
+    payload = {"kind": args.kind, "x": args.x, "nu": args.nu, "scaled": args.scaled, "value": value}
+    emit(to_json(payload), args.out)
     return EXIT_OK
 
 
@@ -534,12 +530,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_finite(args):
+    """Every float option is finite: NaN or an infinity is a usage error, never run through."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        _check_finite(args)
         return globals()[args.handler](args)
     except (UsageError, ParseError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

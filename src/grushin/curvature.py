@@ -55,6 +55,8 @@ _FD_OFFSETS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 FD_STEP = 1e-4
 #: remainder powers of asymptotic_check closer than this are not told apart by its fit
 _POWER_GAP = 0.25
+#: largest |Gamma^C_AB + Gamma^B_AC|, relative to max(1, |Gamma|), of a metric-compatible connection
+COMPATIBILITY_TOL = 1e-10
 
 
 class InvalidConnectionError(ValueError):
@@ -85,11 +87,11 @@ class FrameChristoffel:
     gamma: Callable[[float, np.ndarray], np.ndarray]
     frame: Callable[[float, np.ndarray], np.ndarray]
 
-    def check_compatibility(self, x: float, y: np.ndarray, tol: float = 1e-10):
+    def check_compatibility(self, x: float, y: np.ndarray):
         G = np.asarray(self.gamma(x, y), dtype=float)
         dev = float(np.max(np.abs(G + np.swapaxes(G, 0, 2))))
         scale = max(1.0, float(np.max(np.abs(G))))
-        if dev > tol * scale:
+        if dev > COMPATIBILITY_TOL * scale:
             raise InvalidConnectionError(
                 f"Gamma^C_AB + Gamma^B_AC = {dev:g} at (x={x}, y={y}); not metric-compatible"
             )

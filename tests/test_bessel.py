@@ -100,6 +100,23 @@ def test_scaled_variants():
     assert v == pytest.approx(float(mp.re(mp.besselk(2j, 500)) * mp.e**500), rel=1e-10)
 
 
+def test_trapezoid_route_matches_mpmath():
+    # K_mu for mu = sigma + i nu right of the 2x = pi nu line and below x = 400, where
+    # the trapezoidal rule runs, within 1e-13 relative of the multiprecision value
+    from grushin.bessel import _kv_complex
+
+    rng = np.random.default_rng(18)
+    for _ in range(200):
+        sigma, nu = float(rng.integers(0, 2)), rng.uniform(0.0, 12.5)
+        low = max(math.pi * nu / 2.0, 1e-3)
+        x = float(low * (400.0 / low) ** rng.uniform(0.0, 1.0))
+        assert math.pi * nu < 2.0 * x < 800.0
+        got = complex(_kv_complex(complex(sigma, nu), x))
+        with mp.workdps(30):
+            want = complex(mp.besselk(mp.mpc(sigma, nu), x))
+        assert abs(got - want) <= 1e-13 * abs(want), (sigma, nu, x, got, want)
+
+
 def test_series_asymptotics_overlap():
     # the two internal routes agree where both are valid
     from grushin.bessel import _iv_series, _asympt_coeffs

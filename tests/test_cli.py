@@ -304,6 +304,33 @@ def test_usage_exit_codes(tmp_path, capsys):
         assert "error:" in err and err.count("\n") == 1, (argv, name, err)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extension", "build", "--family", "1", "--gamma", "nan"],
+        ["extension", "build", "--family", "5", "--Gamma", "inf,1,0,0"],
+        ["curvature", "--alpha", "1", "--n", "1", "--metric", "m.json", "--y", "nan"],
+        ["bessel", "eval", "--kind", "K", "--x", "2", "--nu", "inf"],
+        ["classify", "--alpha", "1", "--n", "1", "--c", "0", "--out", "missing/x.json"],
+        ["phase-diagram", "--alpha", "1", "--c", "0", "--n", "1",
+         "--out-svg", "missing/p.svg", "--out-csv", "p.csv"],
+    ],
+    ids=["gamma-nan", "Gamma-inf", "y-nan", "nu-inf", "out", "out-svg"],
+)
+def test_non_finite_options_and_unwritable_outputs_are_usage_errors(argv, tmp_path, monkeypatch,
+                                                                    capsys):
+    # a NaN or infinite option is rejected, not run through, and an output that cannot be
+    # written is invalid input: exit 2 with one line on stderr, no traceback, no output
+    metric = {"conformal_factor": {"terms": [{"x_power": 1, "mode": 0, "cos": 1.0}]}}
+    (tmp_path / "m.json").write_text(json.dumps(metric))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GRUSHIN_OUTDIR", raising=False)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, ""), err
+    assert err.startswith("usage error:") and err.count("\n") == 1, err
+    assert not (tmp_path / "p.csv").exists()
+
+
 @pytest.mark.parametrize("spec", ["0:1:nan", "nan:1:0.1", "0:inf:1", "0:1:1e-300"])
 def test_grids_that_never_end_are_usage_errors(spec, capsys):
     # unguarded, each of these grows the list of grid values until memory runs out
@@ -424,6 +451,34 @@ def test_bessel_series_route_does_not_import_scipy_integrate(tmp_path):
     code, modules = _loaded_scipy_modules(
         ["bessel", "eval", "--kind", "Ktilde", "--x", "2.0", "--nu", "1.5"], tmp_path)
     assert code == 0
+    assert "scipy.special" in modules
+    assert not [m for m in modules if m.startswith("scipy.integrate")]
+
+
+def test_no_bessel_route_imports_scipy_integrate(tmp_path):
+    # K at imaginary order right of the 2x = pi nu line (x < 400) is a numpy trapezoid: a
+    # bessel eval there, an imaginary-order membership oracle (its probe at Bessel argument
+    # 60) and u, u', u'' up to argument 20 all run on scipy.special alone
+    code = """
+import contextlib, io, json, sys
+import numpy as np
+from grushin.bessel import BesselModelOp, kernel_solutions, weighted_L2_membership_oracle
+from grushin.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["bessel", "eval", "--kind", "Ktilde", "--x", "30", "--nu", "5"])
+op = BesselModelOp(a=1.0, b=4.0, h=0.5, beta=0.8)  # imaginary order nu = 2.5
+verdict = weighted_L2_membership_oracle(op, "u2")
+pair = kernel_solutions(op)
+for which in ("u1", "u2"):
+    for x in (np.geomspace(0.1, 50.0, 9), 30.0):
+        pair.u(which, x), pair.du(which, x), pair.ddu(which, x)
+print(json.dumps([code, verdict, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+    env = dict(os.environ, GRUSHIN_OUTDIR=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, verdict, modules = json.loads(proc.stdout)
+    assert code == 0 and verdict in ("true", "false")
     assert "scipy.special" in modules
     assert not [m for m in modules if m.startswith("scipy.integrate")]
 
